@@ -11,10 +11,9 @@ across traffic densities.
 
 from ._kernels import BACKEND as KERNEL_BACKEND
 from .errors import (DeconflictError, DegenerateRelativeVelocity,
-                     DegenerateSamples, EmptyFeasibleSet, FitDomainError,
-                     NonConvergence, OutOfProjectionRange,
-                     ScenarioFormatError, TooManyAgents,
-                     TopologyRejectionExhausted, UnknownId, UnresolvablePair)
+                     DegenerateSamples, FitDomainError, NonConvergence,
+                     OutOfProjectionRange, ScenarioFormatError, TooManyAgents,
+                     TopologyRejectionExhausted, UnknownId)
 from .geo import GeoPoint, haversine_m, minutes_to_seconds, mph_to_mps, project, unproject
 from .kinematics import (ForbiddenInterval, IntervalKind, Mission,
                          RelativeState, SeparationConfig, Vec2, cpa_time,
@@ -23,8 +22,7 @@ from .optimizer import (OrderResult, SearchResult, average_delay,
                         optimize_order, per_order_table)
 from .scenario import (AirspaceConfig, DelaySample, MonteCarloResult,
                        generate_topology, run_monte_carlo)
-from .scheduler import (IntervalSet, Schedule, default_horizon, earliest,
-                        greedy_schedule, interval_subtract)
+from .scheduler import Schedule, greedy_schedule
 from .statfit import (DistributionFamily, FitResult, Histogram, fit,
                       fit_report, make_histogram, pdf, select_best)
 

@@ -1,23 +1,14 @@
 """Numeric hot kernels: clamped closest-approach evaluation, the analytic
 forbidden-delay solver core, and the brute-force sampled-separation oracle.
 
-Every kernel is written as scalar float math so the same source runs under
-two backends:
-
-* ``numba`` (default): each kernel is ``@njit``-compiled.
-* ``numpy`` fallback: set ``DECONFLICT_NUMBA=0`` (or have numba missing) and
-  the kernels run interpreted, with the grid-sampling kernel swapped for a
-  vectorized numpy implementation.
-
-Both backends produce bit-identical results; ``benchmarks/bench_kernels.py``
-compares their speed.
+The kernels are scalar float math in plain Python, except the oracle's
+window sampling, which is one vectorized numpy evaluation per pair.
 
 Missions enter kernels unpacked as scalars ``(ox, oy, vx, vy, dur)`` or as an
 ``(n, 5)`` float64 array in that column order.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -34,24 +25,10 @@ PROBE_STEP = 0.01
 MIN_PROBES = 64
 MAX_PROBES = 500_000
 
-_flag = os.environ.get("DECONFLICT_NUMBA", "1").strip().lower()
-USE_NUMBA = _flag not in ("0", "false", "no", "off")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        USE_NUMBA = False
-
-BACKEND = "numba" if USE_NUMBA else "numpy"
+# Name of the one compute backend, exported as deconflict.KERNEL_BACKEND.
+BACKEND = "numpy"
 
 
-def _jit(func):
-    if USE_NUMBA:
-        return njit(cache=True)(func)
-    return func
-
-
-@_jit
 def pair_min_sep_sq(aox, aoy, avx, avy, adur, ta,
                     box, boy, bvx, bvy, bdur, tb):
     """Minimum squared distance while both agents are airborne.
@@ -83,7 +60,6 @@ def pair_min_sep_sq(aox, aoy, avx, avy, adur, ta,
     return rx * rx + ry * ry
 
 
-@_jit
 def delta_min_sep_sq(aox, aoy, avx, avy, adur,
                      box, boy, bvx, bvy, bdur, delta):
     """Min squared co-airborne distance when b departs `delta` after a."""
@@ -91,7 +67,6 @@ def delta_min_sep_sq(aox, aoy, avx, avy, adur,
                            box, boy, bvx, bvy, bdur, delta)
 
 
-@_jit
 def _bisect_boundary(aox, aoy, avx, avy, adur,
                      box, boy, bvx, bvy, bdur,
                      hh, safe, conf, target):
@@ -114,7 +89,6 @@ def _bisect_boundary(aox, aoy, avx, avy, adur,
     return safe
 
 
-@_jit
 def forbidden_core(aox, aoy, avx, avy, adur,
                    box, boy, bvx, bvy, bdur, h, tol):
     """Forbidden departure-delay span for the ordered pair (a first, b second).
@@ -219,7 +193,6 @@ def forbidden_core(aox, aoy, avx, avy, adur,
     return 1, lo, hi
 
 
-@_jit
 def _ternary_min(ux, uy, cx, cy, lo, hi):
     """Minimize |U t + C|^2 on [lo, hi] by ternary search (function evals only)."""
     for _ in range(200):
@@ -242,7 +215,6 @@ def _ternary_min(ux, uy, cx, cy, lo, hi):
     return rx * rx + ry * ry
 
 
-@_jit
 def sampled_pair_min_sep_sq(aox, aoy, avx, avy, adur, ta,
                             box, boy, bvx, bvy, bdur, tb, dt, refine):
     """Brute-force oracle: sample the co-airborne window at step dt.
@@ -251,47 +223,6 @@ def sampled_pair_min_sep_sq(aox, aoy, avx, avy, adur, ta,
     evaluations. With refine=True the sampled argmin is polished by a local
     ternary search, tightening the estimate to ~1e-12.
     """
-    w0 = max(ta, tb)
-    w1 = min(ta + adur, tb + bdur)
-    if w0 > w1:
-        return INF
-    ux = avx - bvx
-    uy = avy - bvy
-    cx = aox - avx * ta - box + bvx * tb
-    cy = aoy - avy * ta - boy + bvy * tb
-    n = int((w1 - w0) / dt)
-    best = INF
-    tbest = w0
-    for i in range(n + 1):
-        t = w0 + i * dt
-        rx = ux * t + cx
-        ry = uy * t + cy
-        d = rx * rx + ry * ry
-        if d < best:
-            best = d
-            tbest = t
-    rx = ux * w1 + cx
-    ry = uy * w1 + cy
-    d = rx * rx + ry * ry
-    if d < best:
-        best = d
-        tbest = w1
-    if refine:
-        lo = tbest - dt
-        if lo < w0:
-            lo = w0
-        hi = tbest + dt
-        if hi > w1:
-            hi = w1
-        r = _ternary_min(ux, uy, cx, cy, lo, hi)
-        if r < best:
-            best = r
-    return best
-
-
-def _sampled_pair_min_sep_sq_numpy(aox, aoy, avx, avy, adur, ta,
-                                   box, boy, bvx, bvy, bdur, tb, dt, refine):
-    # vectorized twin of the scalar oracle; identical arithmetic per element
     w0 = max(ta, tb)
     w1 = min(ta + adur, tb + bdur)
     if w0 > w1:
@@ -323,7 +254,6 @@ def _sampled_pair_min_sep_sq_numpy(aox, aoy, avx, avy, adur, ta,
     return best
 
 
-@_jit
 def sampled_delta_grid(aox, aoy, avx, avy, adur,
                        box, boy, bvx, bvy, bdur, deltas, dt, refine):
     """Oracle min-separation-squared for each delay in `deltas` (b after a)."""
@@ -335,7 +265,6 @@ def sampled_delta_grid(aox, aoy, avx, avy, adur,
     return out
 
 
-@_jit
 def schedule_pair_min_seps(missions, deps, dt, refine):
     """Oracle min separation squared for every unordered pair of a schedule.
 
@@ -353,9 +282,3 @@ def schedule_pair_min_seps(missions, deps, dt, refine):
                 missions[j, 3], missions[j, 4], deps[j], dt, refine)
             k += 1
     return out
-
-
-if not USE_NUMBA:
-    # the sampling oracle is the one kernel whose interpreted scalar loop is
-    # unusably slow; the grid/schedule wrappers pick this up via late binding
-    sampled_pair_min_sep_sq = _sampled_pair_min_sep_sq_numpy

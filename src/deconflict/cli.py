@@ -12,9 +12,8 @@ import sys
 from pathlib import Path
 
 from . import atlanta
-from .errors import (DeconflictError, DegenerateRelativeVelocity,
-                     EmptyFeasibleSet, ScenarioFormatError, TooManyAgents,
-                     TopologyRejectionExhausted, UnknownId, UnresolvablePair)
+from .errors import (DegenerateRelativeVelocity, ScenarioFormatError,
+                     TooManyAgents, TopologyRejectionExhausted, UnknownId)
 from .kinematics import (IntervalKind, SeparationConfig, cpa_time,
                          forbidden_interval, min_separation_sq, relative_state)
 from .optimizer import optimize_order
@@ -68,8 +67,6 @@ def cmd_solve_pair(args) -> int:
         print("closest approach at zero delay: degenerate (identical velocities)")
     if fi.kind is IntervalKind.EMPTY:
         print("forbidden delays: none (pair is separation-safe at any delay)")
-    elif fi.kind is IntervalKind.UNBOUNDED:
-        print("forbidden delays: all (pair cannot be resolved by delay alone)")
     else:
         print(f"forbidden delays: ({fi.lo:.6f}, {fi.hi:.6f}) s")
         sep_lo = math.sqrt(min_separation_sq(first, 0.0, second, fi.lo))
@@ -281,7 +278,7 @@ def main(argv=None) -> int:
     except (ScenarioFormatError, UnknownId, TooManyAgents, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (EmptyFeasibleSet, UnresolvablePair, TopologyRejectionExhausted) as exc:
+    except TopologyRejectionExhausted as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except Exception as exc:  # noqa: BLE001 - exit-code contract is total

@@ -9,18 +9,6 @@ class DegenerateRelativeVelocity(DeconflictError):
     """Relative velocity is (numerically) zero; CPA time is undefined."""
 
 
-class UnresolvablePair(DeconflictError):
-    """A mission pair conflicts for every relative departure delay."""
-
-
-class EmptyFeasibleSet(DeconflictError):
-    """No departure time within the horizon avoids all conflicts."""
-
-    def __init__(self, mission_id, message=None):
-        self.mission_id = mission_id
-        super().__init__(message or f"no feasible departure time for mission {mission_id!r}")
-
-
 class TooManyAgents(DeconflictError):
     """Exhaustive order search was asked to exceed its permutation cap."""
 

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateRelativeVelocity, UnresolvablePair
+from .errors import DegenerateRelativeVelocity
 
 #: |U|^2 threshold below which a relative velocity counts as zero.
 UU_EPS = _kernels.UU_EPS
@@ -98,28 +98,23 @@ class RelativeState:
 
 @dataclass(frozen=True)
 class SeparationConfig:
-    """Separation radius plus the numeric knobs of the solvers.
+    """Separation radius plus the boundary tolerance of the pair solver.
 
     h: minimum separation radius (m). tol: boundary refinement tolerance (s).
-    oracle_dt: sampling step of the brute-force oracle (s).
     """
     h: float
     tol: float = 1e-6
-    oracle_dt: float = 0.01
 
     def __post_init__(self):
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.oracle_dt > 0.0:
-            raise ValueError(f"oracle_dt must be positive, got {self.oracle_dt}")
 
 
 class IntervalKind(Enum):
     EMPTY = "empty"
     BOUNDED = "bounded"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
@@ -147,23 +142,15 @@ class ForbiddenInterval:
     def bounded(cls, lo: float, hi: float) -> "ForbiddenInterval":
         return cls(IntervalKind.BOUNDED, lo, hi)
 
-    @classmethod
-    def unbounded(cls) -> "ForbiddenInterval":
-        return cls(IntervalKind.UNBOUNDED)
-
     @property
     def width(self) -> float:
         if self.kind is IntervalKind.BOUNDED:
             return self.hi - self.lo
-        return 0.0 if self.kind is IntervalKind.EMPTY else math.inf
+        return 0.0
 
     def contains(self, delta: float) -> bool:
         """Open-interval membership: endpoints are feasible."""
-        if self.kind is IntervalKind.EMPTY:
-            return False
-        if self.kind is IntervalKind.UNBOUNDED:
-            return True
-        return self.lo < delta < self.hi
+        return self.kind is IntervalKind.BOUNDED and self.lo < delta < self.hi
 
     def mirrored(self) -> "ForbiddenInterval":
         """The interval for the swapped pair order: (lo, hi) -> (-hi, -lo)."""
@@ -237,12 +224,9 @@ def forbidden_interval(first: Mission, second: Mission,
     the root span with the delays that admit any co-airborne overlap, and
     refines both endpoints by bisection against the window-clamped minimum
     separation to within cfg.tol. Endpoints are returned on the safe side:
-    scheduling exactly at lo or hi yields a tangent (or cleaner) pass.
-
-    Raises UnresolvablePair if the pair would conflict at every delay; with
-    finite flight durations this cannot occur (a delay beyond the first
-    agent's arrival always separates the pair), so the error guards the API
-    contract rather than a reachable analytic branch.
+    scheduling exactly at lo or hi yields a tangent (or cleaner) pass. The
+    span is always bounded: at a delay outside [-second.duration,
+    first.duration] the two flights are never airborne together.
     """
     fr = mission_row(first)
     sr = mission_row(second)
@@ -250,12 +234,7 @@ def forbidden_interval(first: Mission, second: Mission,
         fr[0], fr[1], fr[2], fr[3], fr[4],
         sr[0], sr[1], sr[2], sr[3], sr[4],
         cfg.h, cfg.tol)
-    if code == 0:
+    if code == 0 or not lo < hi:
+        # no conflict, or refinement collapsed the span to a tangency
         return ForbiddenInterval.empty()
-    if code == 1:
-        if not lo < hi:
-            # refinement collapsed the span: a tangency, not a conflict
-            return ForbiddenInterval.empty()
-        return ForbiddenInterval.bounded(float(lo), float(hi))
-    raise UnresolvablePair(
-        f"missions {first.id!r} and {second.id!r} conflict at every relative delay")
+    return ForbiddenInterval.bounded(float(lo), float(hi))

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 from .errors import TooManyAgents
 from .kinematics import SeparationConfig, forbidden_interval
-from .scheduler import (Schedule, compute_pair_intervals, default_horizon,
-                        greedy_schedule)
+from .scheduler import Schedule, compute_pair_intervals, greedy_schedule
 
 #: exhaustive enumeration cap: 9! = 362,880 schedules
 DEFAULT_ORDER_CAP = 9
@@ -60,8 +59,8 @@ def per_order_table(missions, cfg: SeparationConfig,
                     pair_solver=forbidden_interval) -> tuple[OrderResult, ...]:
     """Evaluate every permutation; output in lexicographic order of mission ids.
 
-    Pairwise forbidden spans and the horizon depend only on the mission set,
-    so they are computed once and shared across all orders.
+    Pairwise forbidden spans depend only on the mission set, so they are
+    computed once and shared across all orders.
     """
     missions = sorted(missions, key=lambda m: m.id)
     n = len(missions)
@@ -71,10 +70,9 @@ def per_order_table(missions, cfg: SeparationConfig,
         raise TooManyAgents(f"{n} agents exceeds the {cap}-agent enumeration cap "
                             f"({math.factorial(cap)} orders)")
     pair_intervals = compute_pair_intervals(missions, cfg, pair_solver)
-    horizon = default_horizon(missions, cfg, pair_intervals)
     results = []
     for perm in itertools.permutations(missions):
-        schedule = greedy_schedule(perm, cfg, horizon, pair_intervals)
+        schedule = greedy_schedule(perm, cfg, pair_intervals)
         total = schedule.total_delay
         results.append(OrderResult(order=schedule.order, schedule=schedule,
                                    total_delay=total, average_delay=total / n))

@@ -1,99 +1,21 @@
-"""Feasible-time interval algebra and greedy earliest-departure assignment.
+"""Greedy earliest-departure assignment for a fixed flight order.
 
-The scheduler walks the flight order; each agent starts from the full
-horizon workspace, subtracts the forbidden span of every already-scheduled
-agent (shifted by that agent's departure), and takes the earliest instant
-that survives.
+The scheduler walks the flight order. Each agent collects the forbidden span
+of every already-scheduled agent, shifted by that agent's departure, and
+takes the least instant t >= 0 that lies in none of them.
 
-Workspace spans are closed intervals. Forbidden spans are subtracted as open
-sets, so their endpoints stay feasible: the separation constraint is >= h
-and a tangent pass is allowed. (The set difference of closed minus open is
-again a union of closed intervals, which keeps the algebra exact; a
-half-open representation cannot retain the feasible boundary points.)
+Forbidden spans are open, so their endpoints stay feasible: the separation
+constraint is >= h and a tangent pass is allowed. The least feasible instant
+is therefore 0 or the upper end of one of the spans.
 """
 
-import math
 from dataclasses import dataclass
 
-from .errors import EmptyFeasibleSet, UnresolvablePair
-from .kinematics import (ForbiddenInterval, IntervalKind, Mission,
-                         SeparationConfig, forbidden_interval)
+from .kinematics import (ForbiddenInterval, IntervalKind, SeparationConfig,
+                         forbidden_interval)
 
 #: departure sits on a forbidden-span edge within this |difference| -> binding
 BINDING_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """Normalized disjoint union of closed time spans.
-
-    Spans are sorted, pairwise disjoint and non-touching; degenerate
-    single-point spans are allowed (a lone tangency instant is feasible).
-    Instances are immutable; operations return new sets.
-    """
-    spans: tuple[tuple[float, float], ...]
-
-    @classmethod
-    def from_spans(cls, spans) -> "IntervalSet":
-        items = sorted((float(s), float(e)) for s, e in spans)
-        for s, e in items:
-            if not (math.isfinite(s) and math.isfinite(e) and s <= e):
-                raise ValueError(f"invalid span ({s}, {e})")
-        merged: list[tuple[float, float]] = []
-        for s, e in items:
-            if merged and s <= merged[-1][1]:
-                if e > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], e)
-            else:
-                merged.append((s, e))
-        return cls(tuple(merged))
-
-    @classmethod
-    def span(cls, start: float, end: float) -> "IntervalSet":
-        return cls.from_spans([(start, end)])
-
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.spans
-
-    @property
-    def measure(self) -> float:
-        return sum(e - s for s, e in self.spans)
-
-    def contains(self, t: float) -> bool:
-        return any(s <= t <= e for s, e in self.spans)
-
-    def subtract_open(self, lo: float, hi: float) -> "IntervalSet":
-        """Remove the open interval (lo, hi); lo and hi themselves survive."""
-        if not lo < hi:
-            raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-        out = []
-        for s, e in self.spans:
-            if hi <= s or lo >= e:
-                out.append((s, e))
-                continue
-            if lo >= s:
-                out.append((s, lo))
-            if hi <= e:
-                out.append((hi, e))
-        return IntervalSet(tuple(out))
-
-
-def interval_subtract(workspace: IntervalSet,
-                      forbidden: tuple[float, float]) -> IntervalSet:
-    """Workspace minus one open forbidden span."""
-    return workspace.subtract_open(forbidden[0], forbidden[1])
-
-
-def earliest(workspace: IntervalSet) -> float:
-    """Smallest feasible instant (start of the first span)."""
-    if workspace.is_empty:
-        raise EmptyFeasibleSet(None, "feasible set is empty")
-    return workspace.spans[0][0]
 
 
 @dataclass(frozen=True)
@@ -139,67 +61,41 @@ def compute_pair_intervals(missions, cfg: SeparationConfig,
     return table
 
 
-def default_horizon(missions, cfg: SeparationConfig, pair_intervals=None) -> float:
-    """Workspace upper bound that can never exhaust the feasible set.
-
-    Sum of all flight durations plus the width of every pairwise forbidden
-    span plus one second: even fully serialized departures fit.
-    """
-    if pair_intervals is None:
-        pair_intervals = compute_pair_intervals(missions, cfg)
-    total = sum(m.duration for m in missions) + 1.0
-    for i, a in enumerate(missions):
-        for b in missions[i + 1:]:
-            total += max(0.0, pair_intervals[(a.id, b.id)].width)
-    return total
-
-
-def greedy_schedule(order, cfg: SeparationConfig, horizon: float | None = None,
-                    pair_intervals=None, pair_solver=forbidden_interval) -> Schedule:
+def greedy_schedule(order, cfg: SeparationConfig, pair_intervals=None) -> Schedule:
     """Assign each mission the earliest departure compatible with all earlier ones.
 
-    Missions are processed in the given order. Agent j starts from the
-    workspace [0, horizon]; for every earlier agent i the forbidden span
-    shifted by i's departure is subtracted in full, including its
-    negative-delay part, so the result is safe for all pairs even when the
-    greedy choice reverses the departure order. The first agent always
-    departs at t = 0.
-
-    Raises EmptyFeasibleSet (carrying the mission id) when the horizon is
-    exhausted and UnresolvablePair for an unbounded forbidden span.
+    Missions are processed in the given order. For agent j the span of every
+    earlier agent i is shifted by i's departure and kept in full, including
+    its negative-delay part, so the result is safe for all pairs even when
+    the greedy choice reverses the departure order. The spans are swept in
+    order of their lower end from t = 0: a span that starts before t and
+    ends after it moves t to its end, and the first span that starts at or
+    after t ends the sweep, since t lies in none of the spans left. The
+    first agent always departs at t = 0.
     """
     missions = list(order)
     ids = [m.id for m in missions]
     if len(set(ids)) != len(ids):
         raise ValueError(f"mission ids must be distinct, got {ids}")
     if pair_intervals is None:
-        pair_intervals = compute_pair_intervals(missions, cfg, pair_solver)
-    if horizon is None:
-        horizon = default_horizon(missions, cfg, pair_intervals)
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+        pair_intervals = compute_pair_intervals(missions, cfg)
 
     departures: list[float] = []
     bindings: list[tuple[str, ...]] = []
-    for j, mission in enumerate(missions):
-        ws = IntervalSet.span(0.0, horizon)
-        edges: list[tuple[str, float]] = []
+    for j, mid in enumerate(ids):
+        spans: list[tuple[float, float, str]] = []
         for i in range(j):
-            fi = pair_intervals[(missions[i].id, mission.id)]
-            if fi.kind is IntervalKind.EMPTY:
-                continue
-            if fi.kind is IntervalKind.UNBOUNDED:
-                raise UnresolvablePair(
-                    f"missions {missions[i].id!r} and {mission.id!r} "
-                    f"conflict at every relative delay")
-            lo, hi = fi.shifted(departures[i])
-            ws = ws.subtract_open(lo, hi)
-            edges.append((missions[i].id, hi))
-        if ws.is_empty:
-            raise EmptyFeasibleSet(mission.id)
-        t = earliest(ws)
+            fi = pair_intervals[(ids[i], mid)]
+            if fi.kind is IntervalKind.BOUNDED:
+                spans.append((*fi.shifted(departures[i]), ids[i]))
+        t = 0.0
+        for lo, hi, _ in sorted(spans):
+            if lo >= t:
+                break
+            if hi > t:
+                t = hi
         departures.append(t)
-        bindings.append(tuple(mid for mid, hi in edges
+        bindings.append(tuple(other for _, hi, other in spans
                               if abs(t - hi) <= BINDING_TOL))
 
     return Schedule(entries=tuple(zip(ids, departures)),

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from deconflict import cli
-from deconflict.errors import EmptyFeasibleSet
+from deconflict.errors import TopologyRejectionExhausted
 
 CROSSING = {
     "version": 1,
@@ -185,7 +185,7 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
 
 def test_infeasible_maps_to_exit_3(monkeypatch, scenario_path):
     def boom(args):
-        raise EmptyFeasibleSet("b")
+        raise TopologyRejectionExhausted("no valid topology within the attempt budget")
     monkeypatch.setattr(cli, "cmd_schedule", boom)
     parser_args = ["schedule", "--scenario", scenario_path(CROSSING)]
     # set_defaults bound the original handler; rebuild through main with the

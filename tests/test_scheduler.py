@@ -6,89 +6,74 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deconflict import oracle
-from deconflict.errors import EmptyFeasibleSet, UnresolvablePair
 from deconflict.kinematics import ForbiddenInterval, Mission, SeparationConfig, Vec2
-from deconflict.scheduler import (IntervalSet, compute_pair_intervals,
-                                  default_horizon, earliest, greedy_schedule,
-                                  interval_subtract)
+from deconflict.scheduler import BINDING_TOL, greedy_schedule
 from helpers import random_instance
 
 ROOT2 = math.sqrt(2.0)
 
 
-class TestIntervalSet:
-    def test_subtract_keeps_boundaries_feasible(self):
-        ws = IntervalSet.span(0.0, 100.0)
-        out = interval_subtract(ws, (10.0, 20.0))
-        assert out.spans == ((0.0, 10.0), (20.0, 100.0))
-        assert out.contains(10.0) and out.contains(20.0)
-        assert not out.contains(15.0)
+def depart_after(spans):
+    """Departure and bindings of flight "x" placed after one flight per span.
 
-    def test_subtract_disjoint_is_noop(self):
-        ws = IntervalSet.span(0.0, 100.0)
-        assert interval_subtract(ws, (-5.0, -1.0)).spans == ((0.0, 100.0),)
+    The earlier flights e0, e1, ... never conflict with each other, so all
+    depart at 0; spans[i] is x's forbidden (lo, hi) relative to e{i}.
+    """
+    earlier = [f"e{i}" for i in range(len(spans))]
+    missions = [Mission(mid, Vec2(0.0, 0.0), Vec2(1.0, 0.0), 1.0)
+                for mid in earlier + ["x"]]
+    table = {(a, b): ForbiddenInterval.empty() for a in earlier for b in earlier}
+    table.update({(mid, "x"): ForbiddenInterval.bounded(lo, hi)
+                  for mid, (lo, hi) in zip(earlier, spans)})
+    schedule = greedy_schedule(missions, SeparationConfig(h=1.5), pair_intervals=table)
+    assert schedule.departures[:-1] == (0.0,) * len(earlier)
+    return schedule.departures[-1], schedule.bindings[-1]
 
-    def test_subtract_straddling(self):
-        ws = IntervalSet.from_spans([(0.0, 10.0), (20.0, 30.0)])
-        out = interval_subtract(ws, (5.0, 25.0))
-        assert out.spans == ((0.0, 5.0), (25.0, 30.0))
 
-    def test_subtract_can_leave_single_point(self):
-        ws = IntervalSet.span(0.0, 10.0)
-        out = ws.subtract_open(0.0, 4.0).subtract_open(4.0, 10.0)
-        assert out.contains(4.0)
-        assert out.measure == pytest.approx(0.0)
-        assert earliest(out) == 0.0  # 0 itself survives the open subtrahend
+class TestEarliestFreeTime:
+    def test_touching_spans_leave_their_shared_end_free(self):
+        # 4 closes one open span and opens the next, so it is feasible; only
+        # the span ending there binds
+        assert depart_after([(4.0, 9.0), (-1.0, 4.0)]) == (4.0, ("e1",))
 
-    def test_normalization_merges(self):
-        ws = IntervalSet.from_spans([(5.0, 7.0), (0.0, 5.0), (9.0, 9.0)])
-        assert ws.spans == ((0.0, 7.0), (9.0, 9.0))
+    def test_span_starting_at_zero_leaves_zero_free(self):
+        assert depart_after([(0.0, 4.0)]) == (0.0, ())
 
-    def test_rejects_bad_spans(self):
-        with pytest.raises(ValueError):
-            IntervalSet.from_spans([(3.0, 1.0)])
-        with pytest.raises(ValueError):
-            IntervalSet.span(0.0, math.inf)
-        with pytest.raises(ValueError):
-            IntervalSet.span(0.0, 1.0).subtract_open(2.0, 2.0)
+    def test_negative_span_leaves_zero_free(self):
+        assert depart_after([(-7.0, -2.0)]) == (0.0, ())
 
-    def test_earliest(self):
-        assert earliest(IntervalSet.span(0.0, 10.0)) == 0.0
-        assert earliest(IntervalSet.from_spans([(3.5, 9.0), (12.0, 20.0)])) == 3.5
-        with pytest.raises(EmptyFeasibleSet):
-            earliest(IntervalSet.empty())
+    def test_overlapping_spans_chain_to_the_last_end(self):
+        assert depart_after([(6.0, 11.0), (-1.0, 3.0), (2.0, 7.0)]) == (11.0, ("e0",))
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_nested_span_does_not_pull_time_back(self):
+        assert depart_after([(-1.0, 10.0), (2.0, 5.0)]) == (10.0, ("e0",))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(0.01, 20)),
-                    min_size=1, max_size=6),
-           st.tuples(st.floats(-60, 60), st.floats(0.01, 30)))
-    def test_subtract_properties(self, raw, cut):
-        ws = IntervalSet.from_spans([(s, s + w) for s, w in raw])
-        lo, hi = cut[0], cut[0] + cut[1]
-        out = ws.subtract_open(lo, hi)
-        # normalized: sorted, disjoint, valid
-        for s, e in out.spans:
-            assert s <= e
-        for (s1, e1), (s2, e2) in zip(out.spans, out.spans[1:]):
-            assert e1 < s2
-        # no point of the open cut survives; boundary points keep membership
-        mid = 0.5 * (lo + hi)
-        assert not out.contains(mid) or not ws.contains(mid) or mid in (lo, hi)
-        for t in (lo, hi):
-            assert out.contains(t) == ws.contains(t)
-        # measure shrinks by at most the cut width
-        assert ws.measure - (hi - lo) - 1e-9 <= out.measure <= ws.measure + 1e-9
+                    min_size=1, max_size=6))
+    def test_matches_brute_force_least_free_time(self, raw):
+        spans = [(lo, lo + w) for lo, w in raw]
+        t, bound = depart_after(spans)
+
+        def free(c):
+            return c >= 0.0 and not any(lo < c < hi for lo, hi in spans)
+
+        assert free(t)
+        # the least free instant is 0 or a span's upper end
+        assert t == min(c for c in [0.0] + [hi for _, hi in spans] if free(c))
+        assert bound == tuple(f"e{i}" for i, (_, hi) in enumerate(spans)
+                              if abs(t - hi) <= BINDING_TOL)
 
 
 class TestGreedySchedule:
     def test_non_conflicting_all_depart_at_zero(self, parallel_pair, cfg):
-        schedule = greedy_schedule(parallel_pair, cfg, horizon=100.0)
+        schedule = greedy_schedule(parallel_pair, cfg)
         assert schedule.departures == (0.0, 0.0)
         assert schedule.bindings == ((), ())
 
     def test_crossing_pair_takes_upper_tangent(self, crossing_pair, cfg):
         a, b = crossing_pair
-        schedule = greedy_schedule([a, b], cfg, horizon=100.0)
+        schedule = greedy_schedule([a, b], cfg)
         assert schedule.departures[0] == 0.0
         assert schedule.departures[1] == pytest.approx(3.0 / ROOT2, abs=1e-3)
         assert schedule.bindings[1] == ("a",)
@@ -135,49 +120,24 @@ class TestGreedySchedule:
         s2 = greedy_schedule(missions, cfg)
         assert s1 == s2
 
-    def test_default_horizon_suffices(self, cfg):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            missions = random_instance(rng, 5)
-            greedy_schedule(missions, cfg)  # must not raise EmptyFeasibleSet
-
-    def test_horizon_exhaustion(self, crossing_pair, cfg):
-        with pytest.raises(EmptyFeasibleSet) as err:
-            greedy_schedule(crossing_pair, cfg, horizon=1.0)
-        assert err.value.mission_id == "b"
-
-    def test_unbounded_pair_propagates(self, crossing_pair, cfg):
-        def stub_solver(first, second, _cfg):
-            return ForbiddenInterval.unbounded()
-        with pytest.raises(UnresolvablePair):
-            greedy_schedule(crossing_pair, cfg, horizon=100.0,
-                            pair_solver=stub_solver)
-
     def test_duplicate_ids_rejected(self, cfg):
         m = Mission("x", Vec2(0, 0), Vec2(10, 0), 1.0)
         with pytest.raises(ValueError):
-            greedy_schedule([m, m], cfg, horizon=10.0)
+            greedy_schedule([m, m], cfg)
 
     def test_negative_delay_part_protects_reversed_order(self, cfg):
         # the second-scheduled agent may depart before an earlier one; the
         # full shifted span (negative part included) must still keep it safe
         slow = Mission("s", Vec2(0, 0), Vec2(30, 0), 1.0)
         fast = Mission("f", Vec2(15, -10), Vec2(15, 10), 2.0)
-        schedule = greedy_schedule([slow, fast], cfg, horizon=200.0)
+        schedule = greedy_schedule([slow, fast], cfg)
         assert schedule.departures == (0.0, 0.0)  # forbidden span is all positive
         assert oracle.schedule_is_safe([slow, fast], schedule.departures, cfg.h, 0.001)
 
     def test_schedule_accessors(self, crossing_pair, cfg):
-        schedule = greedy_schedule(crossing_pair, cfg, horizon=100.0)
+        schedule = greedy_schedule(crossing_pair, cfg)
         assert schedule.departure_of("a") == 0.0
         assert schedule.total_delay == pytest.approx(sum(schedule.departures))
         with pytest.raises(KeyError):
             schedule.departure_of("zz")
 
-
-def test_default_horizon_formula(crossing_pair, cfg):
-    a, b = crossing_pair
-    pair_intervals = compute_pair_intervals([a, b], cfg)
-    h = default_horizon([a, b], cfg, pair_intervals)
-    width = pair_intervals[("a", "b")].width
-    assert h == pytest.approx(a.duration + b.duration + width + 1.0)
