@@ -1,4 +1,4 @@
-"""Numeric hot kernels: clamped closest-approach evaluation, the analytic
+"""Numeric hot kernels: clamped closest-approach evaluation, the closed-form
 forbidden-delay solver core, and the brute-force sampled-separation oracle.
 
 The kernels are scalar float math in plain Python, except the oracle's
@@ -17,13 +17,6 @@ INF = math.inf
 # |U|^2 below this means the velocities are identical for all purposes
 # (drift < 3e-8 m over a 30 s window).
 UU_EPS = 1e-18
-# Discriminant threshold below which a root pair is a tangency, not a conflict.
-DISC_EPS = 1e-12
-# Probe resolution of the forbidden-delay witness scan (seconds); never fewer
-# than 64 probes across the candidate span, never more than 500k.
-PROBE_STEP = 0.01
-MIN_PROBES = 64
-MAX_PROBES = 500_000
 
 # Name of the one compute backend, exported as deconflict.KERNEL_BACKEND.
 BACKEND = "numpy"
@@ -67,129 +60,86 @@ def delta_min_sep_sq(aox, aoy, avx, avy, adur,
                            box, boy, bvx, bvy, bdur, delta)
 
 
-def _bisect_boundary(aox, aoy, avx, avy, adur,
-                     box, boy, bvx, bvy, bdur,
-                     hh, safe, conf, target):
-    """Shrink [safe, conf] around the conflict boundary; return the safe side.
-
-    Invariant: delta_min_sep_sq(conf) < hh, delta_min_sep_sq(safe) >= hh.
-    Works for either ordering of safe/conf.
-    """
-    for _ in range(100):
-        if abs(conf - safe) <= target:
-            break
-        mid = 0.5 * (safe + conf)
-        if mid == safe or mid == conf:
-            break
-        if delta_min_sep_sq(aox, aoy, avx, avy, adur,
-                            box, boy, bvx, bvy, bdur, mid) < hh:
-            conf = mid
-        else:
-            safe = mid
-    return safe
-
-
 def forbidden_core(aox, aoy, avx, avy, adur,
-                   box, boy, bvx, bvy, bdur, h, tol):
+                   box, boy, bvx, bvy, bdur, h):
     """Forbidden departure-delay span for the ordered pair (a first, b second).
 
-    Returns (kind, lo, hi) with kind 0=empty, 1=bounded. The candidate span
-    comes from the closed-form closest-approach condition; endpoints are then
-    refined by bisection against the window-clamped separation criterion, so
-    both returned endpoints are certified conflict-free (tangent passes are
-    allowed). Finite flights make an unbounded result impossible: any delta
-    outside [-dur_b, dur_a] leaves no co-airborne overlap.
+    Returns (kind, lo, hi) with kind 0=empty, 1=bounded. With a departing at
+    0 and b at delta, both fly at instant t exactly on the parallelogram
+    0 <= t <= dur_a, t - dur_b <= delta <= t, over which the gap
+    R = P0 + U t + Vb delta is affine. So {|R| <= h} is an ellipse (a strip
+    when U is parallel to Vb), its intersection with the parallelogram is
+    convex, and lo/hi are the least and greatest delta on it. They are found
+    among three kinds of candidate: the points where an edge of the
+    parallelogram crosses the circle |R| = h, the vertices inside it, and
+    the ellipse's two delta-extremes when they lie inside the parallelogram.
+    A span whose midpoint is conflict-free is a pure tangency and returned
+    empty. Each endpoint is then stepped outward until it is conflict-free,
+    so both are certified safe (tangent passes are allowed).
     """
     hh = h * h
-    lo_r = -bdur
-    hi_r = adur
-    ux = avx - bvx
-    uy = avy - bvy
-    uu = ux * ux + uy * uy
     p0x = aox - box
     p0y = aoy - boy
-    if uu <= UU_EPS:
-        # identical velocities: conflict iff |P0 + delta*Va| < h while the
-        # windows overlap; quadratic in delta with positive leading term.
-        qa = avx * avx + avy * avy
-        qb = 2.0 * (avx * p0x + avy * p0y)
-        qc = p0x * p0x + p0y * p0y - hh
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < DISC_EPS:
-            return 0, 0.0, 0.0
+    ux = avx - bvx
+    uy = avy - bvy
+    ax = avx * adur
+    ay = avy * adur
+    bx = bvx * bdur
+    by = bvy * bdur
+    # (delta, R) at the vertices (t, delta) = (0, -dur_b), (0, 0),
+    # (dur_a, dur_a), (dur_a, dur_a - dur_b)
+    v0 = (-bdur, p0x - bx, p0y - by)
+    v1 = (0.0, p0x, p0y)
+    v3 = (adur - bdur, p0x + ax - bx, p0y + ay - by)
+    verts = (v0, v1, (adur, p0x + ax, p0y + ay), v3)
+    cands = [d for d, rx, ry in verts if rx * rx + ry * ry <= hh]
+    # edges: start vertex, change of R along the edge, change of delta
+    for (d0, rx, ry), wx, wy, dd in ((v0, bx, by, bdur), (v3, bx, by, bdur),
+                                     (v0, ax, ay, adur), (v1, ax, ay, adur)):
+        ww = wx * wx + wy * wy
+        cross = rx * wy - ry * wx
+        disc = ww * hh - cross * cross
+        if disc < 0.0:
+            continue
+        dot = rx * wx + ry * wy
         sq = math.sqrt(disc)
-        c1 = (-qb - sq) / (2.0 * qa)
-        c2 = (-qb + sq) / (2.0 * qa)
-    else:
-        # lateral miss at unclamped closest approach: |n.P0 + delta*(n.Va)|
-        # with n the unit normal of the relative velocity.
-        inv = 1.0 / math.sqrt(uu)
-        nx = -uy * inv
-        ny = ux * inv
-        a_lin = nx * avx + ny * avy
-        b_lin = nx * p0x + ny * p0y
-        if a_lin == 0.0:
-            # same-direction tracks: lateral miss independent of delta
-            if b_lin * b_lin >= hh:
-                return 0, 0.0, 0.0
-            c1 = lo_r
-            c2 = hi_r
-        else:
-            r1 = (-h - b_lin) / a_lin
-            r2 = (h - b_lin) / a_lin
-            if r1 <= r2:
-                c1 = r1
-                c2 = r2
-            else:
-                c1 = r2
-                c2 = r1
-    if c1 < lo_r:
-        c1 = lo_r
-    if c2 > hi_r:
-        c2 = hi_r
-    if c1 >= c2:
+        for s in ((-dot - sq) / ww, (-dot + sq) / ww):
+            if 0.0 <= s <= 1.0:
+                cands.append(d0 + s * dd)
+    det = ux * bvy - uy * bvx
+    if det != 0.0:
+        # n = (-uy, ux) is normal to U, so n.R = n.P0 + det*delta: delta is
+        # extreme where R = +-h n/|n|, at (t, delta) = M^-1 (R - P0) with M
+        # the matrix of columns U and Vb
+        nn = math.hypot(ux, uy)
+        for sign in (-1.0, 1.0):
+            qx = -sign * h * uy / nn - p0x
+            qy = sign * h * ux / nn - p0y
+            t = (bvy * qx - bvx * qy) / det
+            d = (ux * qy - uy * qx) / det
+            if 0.0 <= t <= adur and t - bdur <= d <= t:
+                cands.append(d)
+    if not cands:
         return 0, 0.0, 0.0
-
-    # witness scan: the window clamp can only shrink the candidate span
-    span = c2 - c1
-    step = span / MIN_PROBES
-    if step > PROBE_STEP:
-        step = PROBE_STEP
-    if step < span / MAX_PROBES:
-        step = span / MAX_PROBES
-    n_seg = int(span / step) + 1
-    first = -1
-    last = -1
-    for i in range(n_seg + 1):
-        d = c1 + span * (i / n_seg)
-        if delta_min_sep_sq(aox, aoy, avx, avy, adur,
-                            box, boy, bvx, bvy, bdur, d) < hh:
-            if first < 0:
-                first = i
-            last = i
-    if first < 0:
+    lo = min(cands)
+    hi = max(cands)
+    if lo >= hi or delta_min_sep_sq(aox, aoy, avx, avy, adur, box, boy,
+                                    bvx, bvy, bdur, 0.5 * (lo + hi)) >= hh:
         return 0, 0.0, 0.0
-
-    target = tol * 1e-3
-    if target < 1e-12:
-        target = 1e-12
-    eps_out = tol if tol > 1e-9 else 1e-9
-    if first == 0:
-        safe_l = c1 - eps_out
-    else:
-        safe_l = c1 + span * ((first - 1) / n_seg)
-    conf_l = c1 + span * (first / n_seg)
-    lo = _bisect_boundary(aox, aoy, avx, avy, adur,
-                          box, boy, bvx, bvy, bdur,
-                          hh, safe_l, conf_l, target)
-    if last == n_seg:
-        safe_r = c2 + eps_out
-    else:
-        safe_r = c1 + span * ((last + 1) / n_seg)
-    conf_r = c1 + span * (last / n_seg)
-    hi = _bisect_boundary(aox, aoy, avx, avy, adur,
-                          box, boy, bvx, bvy, bdur,
-                          hh, safe_r, conf_r, target)
+    # rounding can leave an endpoint a few ulps inside the span; steps start
+    # at one ulp of the durations, since near delta = 0 one ulp of the
+    # endpoint itself is too small to change the separation
+    first = math.ulp(max(adur, bdur))
+    step = first
+    while delta_min_sep_sq(aox, aoy, avx, avy, adur,
+                           box, boy, bvx, bvy, bdur, lo) < hh:
+        lo -= step
+        step += step
+    step = first
+    while delta_min_sep_sq(aox, aoy, avx, avy, adur,
+                           box, boy, bvx, bvy, bdur, hi) < hh:
+        hi += step
+        step += step
     return 1, lo, hi
 
 

@@ -4,8 +4,10 @@ A mission is a straight flight from origin to destination at constant cruise
 speed. Two airborne agents are in conflict whenever their distance drops
 below the separation radius h. For an ordered pair (first, second) the set
 of relative departure delays that would violate separation is a single open
-span, found analytically from the closest-point-of-approach condition and
-refined against the finite co-airborne window.
+span. It is computed in closed form: over the co-airborne (time, delay)
+pairs, a parallelogram, the gap is affine, so the conflict region is the
+intersection of that parallelogram with an ellipse, and its least and
+greatest delays are the span's ends.
 
 Separation applies only while both agents are airborne: before departure and
 from arrival onward an agent occupies no airspace.
@@ -98,9 +100,11 @@ class RelativeState:
 
 @dataclass(frozen=True)
 class SeparationConfig:
-    """Separation radius plus the boundary tolerance of the pair solver.
+    """Separation radius plus the width of the boundary verification band.
 
-    h: minimum separation radius (m). tol: boundary refinement tolerance (s).
+    h: minimum separation radius (m). tol (s): checks of the pair solver
+    against the sampled oracle skip delays within 2*tol of a span endpoint.
+    The solver itself does not read tol.
     """
     h: float
     tol: float = 1e-6
@@ -220,12 +224,13 @@ def forbidden_interval(first: Mission, second: Mission,
                        cfg: SeparationConfig) -> ForbiddenInterval:
     """Delays of `second` relative to `first` that violate separation.
 
-    Solves the closest-approach-equals-h condition for the delay, intersects
-    the root span with the delays that admit any co-airborne overlap, and
-    refines both endpoints by bisection against the window-clamped minimum
-    separation to within cfg.tol. Endpoints are returned on the safe side:
-    scheduling exactly at lo or hi yields a tangent (or cleaner) pass. The
-    span is always bounded: at a delay outside [-second.duration,
+    The endpoints are the least and greatest delay at which the gap touches
+    h while both fly: a crossing of the buffer circle on an edge of the
+    co-airborne window, a window corner inside the circle, or the unclamped
+    closest approach grazing it. They are exact up to rounding and returned
+    on the safe side: scheduling exactly at lo or hi yields a tangent (or
+    cleaner) pass. A pure tangency is no conflict and gives an empty span.
+    The span is always bounded: at a delay outside [-second.duration,
     first.duration] the two flights are never airborne together.
     """
     fr = mission_row(first)
@@ -233,8 +238,7 @@ def forbidden_interval(first: Mission, second: Mission,
     code, lo, hi = _kernels.forbidden_core(
         fr[0], fr[1], fr[2], fr[3], fr[4],
         sr[0], sr[1], sr[2], sr[3], sr[4],
-        cfg.h, cfg.tol)
-    if code == 0 or not lo < hi:
-        # no conflict, or refinement collapsed the span to a tangency
+        cfg.h)
+    if code == 0:
         return ForbiddenInterval.empty()
     return ForbiddenInterval.bounded(float(lo), float(hi))

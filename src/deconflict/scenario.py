@@ -16,7 +16,6 @@ random matchings would almost never find the unique crossing one: there are
 """
 
 import logging
-import math
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -96,35 +95,6 @@ def _perimeter_point(side: float, u: float) -> Vec2:
     return Vec2(0.0, 4.0 * side - u)
 
 
-def _orient(ax, ay, bx, by, cx, cy) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def _on_segment(ax, ay, bx, by, px, py) -> bool:
-    return (min(ax, bx) <= px <= max(ax, bx)
-            and min(ay, by) <= py <= max(ay, by))
-
-
-def segments_intersect(p1: Vec2, p2: Vec2, p3: Vec2, p4: Vec2) -> bool:
-    """True when closed segments p1p2 and p3p4 share at least one point."""
-    d1 = _orient(p3.x, p3.y, p4.x, p4.y, p1.x, p1.y)
-    d2 = _orient(p3.x, p3.y, p4.x, p4.y, p2.x, p2.y)
-    d3 = _orient(p1.x, p1.y, p2.x, p2.y, p3.x, p3.y)
-    d4 = _orient(p1.x, p1.y, p2.x, p2.y, p4.x, p4.y)
-    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
-            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
-        return True
-    if d1 == 0 and _on_segment(p3.x, p3.y, p4.x, p4.y, p1.x, p1.y):
-        return True
-    if d2 == 0 and _on_segment(p3.x, p3.y, p4.x, p4.y, p2.x, p2.y):
-        return True
-    if d3 == 0 and _on_segment(p1.x, p1.y, p2.x, p2.y, p3.x, p3.y):
-        return True
-    if d4 == 0 and _on_segment(p1.x, p1.y, p2.x, p2.y, p4.x, p4.y):
-        return True
-    return False
-
-
 def _draw_vertiports(rng: np.random.Generator, cfg: AirspaceConfig):
     """2N perimeter arc parameters with pairwise Euclidean spacing >= h."""
     perimeter = 4.0 * cfg.side
@@ -147,7 +117,9 @@ def generate_topology(cfg: AirspaceConfig) -> list[Mission]:
     """Build N mutually crossing missions, deterministic under cfg.seed.
 
     Draw order (one PCG64 stream): vertiport positions, per-mission
-    direction flips, cruise speeds, listing shuffle.
+    direction flips, cruise speeds, listing shuffle. The missions cross by
+    construction; a draw is repeated only when a vertiport cannot be placed
+    h from the others.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed & _U64))
     n = cfg.n_agents
@@ -169,12 +141,7 @@ def generate_topology(cfg: AirspaceConfig) -> list[Mission]:
                 a, b = b, a
             missions.append(Mission(id=f"M{rank + 1}", origin=a,
                                     destination=b, speed=speeds[k]))
-        ok = all(segments_intersect(mi.origin, mi.destination,
-                                    mj.origin, mj.destination)
-                 for i, mi in enumerate(missions)
-                 for mj in missions[i + 1:])
-        if ok:
-            return missions
+        return missions
     raise TopologyRejectionExhausted(
         f"no valid {n}-agent topology after {MAX_TOPOLOGY_ATTEMPTS} attempts "
         f"(seed {cfg.seed})")

@@ -202,17 +202,18 @@ def fit(samples, family: DistributionFamily, bins: int = DEFAULT_BINS) -> FitRes
                      ssr=float(np.sum(residuals * residuals)))
 
 
+def _least_ssr(fits) -> FitResult:
+    """The fit with minimal SSR; ties go to the one listed first."""
+    return min(fits, key=lambda r: r.ssr)
+
+
 def select_best(samples, families=ALL_FAMILIES, bins: int = DEFAULT_BINS) -> FitResult:
     """Fit every family and return the one with minimal SSR.
 
-    Ties go to the family listed first in DistributionFamily order.
+    Ties go to the family listed first in `families`, by default the
+    DistributionFamily order.
     """
-    results = [fit(samples, fam, bins) for fam in families]
-    best = results[0]
-    for r in results[1:]:
-        if r.ssr < best.ssr:
-            best = r
-    return best
+    return _least_ssr([fit(samples, fam, bins) for fam in families])
 
 
 def fit_report(samples, families=ALL_FAMILIES, bins: int = DEFAULT_BINS,
@@ -232,10 +233,7 @@ def fit_report(samples, families=ALL_FAMILIES, bins: int = DEFAULT_BINS,
         x = x[x > 0.0]
     hist = make_histogram(x, bins)
     fits = [fit(x, fam, bins) for fam in families]
-    best = fits[0]
-    for r in fits[1:]:
-        if r.ssr < best.ssr:
-            best = r
+    best = _least_ssr(fits)
     return {
         "bins": bins,
         "n_samples": int(x.size),

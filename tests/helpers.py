@@ -1,5 +1,5 @@
-"""Shared helpers for the test suite: random-instance generators and the
-environment for child interpreters."""
+"""Shared helpers for the test suite: random-instance generators, a segment
+intersection test, and the environment for child interpreters."""
 
 import os
 from pathlib import Path
@@ -64,6 +64,35 @@ def pair_stream(seed: int, n: int):
 
 def random_instance(rng: np.random.Generator, n: int) -> list:
     return [random_mission(rng, f"M{i + 1}") for i in range(n)]
+
+
+def _orient(ax, ay, bx, by, cx, cy) -> float:
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _on_segment(ax, ay, bx, by, px, py) -> bool:
+    return (min(ax, bx) <= px <= max(ax, bx)
+            and min(ay, by) <= py <= max(ay, by))
+
+
+def segments_intersect(p1: Vec2, p2: Vec2, p3: Vec2, p4: Vec2) -> bool:
+    """True when closed segments p1p2 and p3p4 share at least one point."""
+    d1 = _orient(p3.x, p3.y, p4.x, p4.y, p1.x, p1.y)
+    d2 = _orient(p3.x, p3.y, p4.x, p4.y, p2.x, p2.y)
+    d3 = _orient(p1.x, p1.y, p2.x, p2.y, p3.x, p3.y)
+    d4 = _orient(p1.x, p1.y, p2.x, p2.y, p4.x, p4.y)
+    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
+            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
+        return True
+    if d1 == 0 and _on_segment(p3.x, p3.y, p4.x, p4.y, p1.x, p1.y):
+        return True
+    if d2 == 0 and _on_segment(p3.x, p3.y, p4.x, p4.y, p2.x, p2.y):
+        return True
+    if d3 == 0 and _on_segment(p1.x, p1.y, p2.x, p2.y, p3.x, p3.y):
+        return True
+    if d4 == 0 and _on_segment(p1.x, p1.y, p2.x, p2.y, p4.x, p4.y):
+        return True
+    return False
 
 
 def child_env(base=None, **extra) -> dict:

@@ -9,7 +9,8 @@ from deconflict.errors import TopologyRejectionExhausted
 from deconflict.kinematics import SeparationConfig
 from deconflict.optimizer import optimize_order
 from deconflict.scenario import (AirspaceConfig, generate_topology,
-                                 run_monte_carlo, segments_intersect)
+                                 run_monte_carlo)
+from helpers import segments_intersect
 
 
 class TestAirspaceConfig:
@@ -32,13 +33,20 @@ class TestAirspaceConfig:
 
 class TestGenerateTopology:
     def test_structure(self):
-        missions = generate_topology(AirspaceConfig(n_agents=4, seed=11))
-        assert len(missions) == 4
-        points = [m.origin for m in missions] + [m.destination for m in missions]
-        assert len({(p.x, p.y) for p in points}) == 8
-        for a, b in itertools.combinations(missions, 2):
-            assert segments_intersect(a.origin, a.destination,
-                                      b.origin, b.destination)
+        # every pair of routes crosses, also at the tightest spacing the
+        # config admits, where 2N vertiports h apart fill half the perimeter
+        for n in range(2, 8):
+            for h in (1.5, 20.0 / n):
+                for seed in range(12):
+                    missions = generate_topology(
+                        AirspaceConfig(n_agents=n, seed=seed, h=h))
+                    assert len(missions) == n
+                    points = ([m.origin for m in missions]
+                              + [m.destination for m in missions])
+                    assert len({(p.x, p.y) for p in points}) == 2 * n
+                    for a, b in itertools.combinations(missions, 2):
+                        assert segments_intersect(a.origin, a.destination,
+                                                  b.origin, b.destination)
 
     def test_vertiports_on_perimeter_and_spaced(self):
         cfg = AirspaceConfig(n_agents=5, seed=3)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,21 @@ class TestFitReport:
         selected = next(f for f in report["fits"]
                         if f["family"] == report["selected"])
         assert selected["ssr"] == best_ssr
+
+    def test_fits_each_family_once_and_ties_go_to_the_first(self, monkeypatch):
+        # every SSR forced equal: the first family listed is selected, by
+        # fit_report and select_best alike, and each family is fitted once
+        real_fit = statfit.fit
+        calls = []
+
+        def tied_fit(x, family, bins=statfit.DEFAULT_BINS):
+            calls.append(family)
+            return dataclasses.replace(real_fit(x, family, bins), ssr=1.0)
+
+        monkeypatch.setattr(statfit, "fit", tied_fit)
+        x = np.random.default_rng(10).gamma(5.0, 2.0, 2_000)
+        families = (DistributionFamily.GAMMA, DistributionFamily.NORMAL,
+                    DistributionFamily.LOG_NORMAL)
+        assert fit_report(x, families=families)["selected"] == "gamma"
+        assert calls == list(families)
+        assert select_best(x, families=families[1:]).family is DistributionFamily.NORMAL
