@@ -2,11 +2,11 @@
 
 Pairwise conflicts are resolved analytically: for any ordered mission pair
 the set of relative departure delays violating the separation radius is one
-open interval, found in closed form and refined against the finite flight
-windows. A greedy pass assigns each flight the earliest feasible departure
-for a fixed order; exhaustive order search minimizes total delay; a seeded
-Monte Carlo harness and distribution fitting characterize delay statistics
-across traffic densities.
+open interval, computed in closed form over the finite flight windows. A
+greedy pass assigns each flight the earliest feasible departure for a fixed
+order; exhaustive order search minimizes total delay; a seeded Monte Carlo
+harness and distribution fitting characterize delay statistics across
+traffic densities.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND

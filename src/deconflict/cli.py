@@ -149,6 +149,10 @@ def _samples_csv(result) -> str:
 def cmd_montecarlo(args) -> int:
     result = run_monte_carlo(args.n_agents, args.topologies, args.seed,
                              mode=args.mode, h=args.h, workers=args.workers)
+    if not result.samples:
+        raise TopologyRejectionExhausted(
+            f"all {args.topologies} topologies rejected: no {args.n_agents}-agent "
+            f"topology with vertiport spacing {args.h} m was drawn")
     print(f"{len(result.samples)} samples from {args.topologies} topologies "
           f"({len(result.rejected_topologies)} rejected), mode={result.mode}")
     delays = result.delays

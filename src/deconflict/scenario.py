@@ -181,6 +181,8 @@ def run_monte_carlo(n_agents: int, n_topologies: int, base_seed: int,
         raise ValueError(f"mode must be 'pooled' or 'optimal', got {mode!r}")
     if n_topologies < 1:
         raise ValueError(f"n_topologies must be >= 1, got {n_topologies}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [(k, AirspaceConfig(n_agents=n_agents, seed=(base_seed ^ k) & _U64,
                                side=side, h=h, speed_range=speed_range),
              mode, cap)

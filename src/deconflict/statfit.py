@@ -7,6 +7,9 @@ closed-form maximum likelihood; gamma uses method of moments with Newton
 refinement of the shape likelihood equation; beta uses method of moments on
 samples affinely mapped into (0, 1) over the 1%-padded sample range (delays
 are unbounded above, so a beta fit needs an explicit support choice).
+
+Special functions need only `math`: ln Γ is `math.lgamma`, ln B(a, b) is
+ln Γ(a) + ln Γ(b) − ln Γ(a + b), and ψ, ψ′ are recurrences plus asymptotic series.
 """
 
 import math
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln, polygamma
 
 from .errors import DegenerateSamples, FitDomainError, NonConvergence
 
@@ -98,7 +100,7 @@ def pdf(fit: FitResult, x) -> np.ndarray:
         pos = x > 0.0
         xp = x[pos]
         out[pos] = np.exp((k - 1.0) * np.log(xp) - xp / theta
-                          - gammaln(k) - k * math.log(theta))
+                          - math.lgamma(k) - k * math.log(theta))
         return out
     if fit.family is DistributionFamily.BETA:
         a, b, loc, scale = p["alpha"], p["beta"], p["loc"], p["scale"]
@@ -107,9 +109,31 @@ def pdf(fit: FitResult, x) -> np.ndarray:
         inside = (u > 0.0) & (u < 1.0)
         ui = u[inside]
         out[inside] = np.exp((a - 1.0) * np.log(ui) + (b - 1.0) * np.log1p(-ui)
-                             - betaln(a, b)) / scale
+                             - _betaln(a, b)) / scale
         return out
     raise ValueError(f"unknown family {fit.family}")
+
+
+def _betaln(a: float, b: float) -> float:
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def _digamma(x: float) -> float:
+    """ψ(x) for x > 0: ψ(x) = ψ(x + 1) − 1/x up to x ≥ 10, then the series."""
+    if x < 10.0:
+        return _digamma(x + 1.0) - 1.0 / x
+    f = 1.0 / (x * x)
+    return math.log(x) - 0.5 / x - f * (
+        1 / 12 - f * (1 / 120 - f * (1 / 252 - f * (1 / 240 - f / 132))))
+
+
+def _trigamma(x: float) -> float:
+    """ψ′(x) for x > 0: ψ′(x) = ψ′(x + 1) + 1/x² up to x ≥ 10, then the series."""
+    if x < 10.0:
+        return _trigamma(x + 1.0) + 1.0 / (x * x)
+    f = 1.0 / (x * x)
+    return 1.0 / x + 0.5 * f + (f / x) * (
+        1 / 6 - f * (1 / 30 - f * (1 / 42 - f * (1 / 30 - 5 * f / 66))))
 
 
 def _fit_normal(x: np.ndarray) -> dict:
@@ -143,8 +167,8 @@ def _fit_gamma(x: np.ndarray) -> dict:
     # Newton on the profile likelihood equation  ln(k) - psi(k) = s
     converged = False
     for _ in range(GAMMA_NEWTON_MAX_ITER):
-        f = math.log(shape) - float(digamma(shape)) - s
-        fp = 1.0 / shape - float(polygamma(1, shape))
+        f = math.log(shape) - _digamma(shape) - s
+        fp = 1.0 / shape - _trigamma(shape)
         step = f / fp
         new_shape = shape - step
         if new_shape <= 0.0:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from deconflict import cli
+from deconflict import cli, scenario
 from deconflict.errors import TopologyRejectionExhausted
 
 CROSSING = {
@@ -139,6 +139,25 @@ def test_montecarlo_optimal_mode_csv_has_no_rank(tmp_path):
     lines = (out_dir / "samples.csv").read_text().splitlines()
     assert lines[0] == "n_agents,topology_index,average_delay_s"
     assert len(lines) == 4
+
+
+def test_montecarlo_all_rejected_exits_3_and_writes_nothing(monkeypatch, tmp_path,
+                                                           capsys):
+    monkeypatch.setattr(scenario, "_draw_vertiports", lambda rng, cfg: None)
+    out_dir = tmp_path / "mc"
+    args = ["montecarlo", "--n-agents", "4", "--topologies", "2"]
+    for extra in ([], ["--out", str(out_dir)]):
+        assert cli.main(args + extra) == 3
+        captured = capsys.readouterr()
+        assert "rejected" in captured.err
+        assert "nan" not in captured.out
+    assert not out_dir.exists()
+
+
+def test_montecarlo_nonpositive_workers_exits_2(capsys):
+    assert cli.main(["montecarlo", "--n-agents", "3", "--topologies", "1",
+                     "--workers", "-3"]) == 2
+    assert "workers" in capsys.readouterr().err
 
 
 def test_fit_command_reads_samples_csv(tmp_path, capsys):

@@ -132,6 +132,8 @@ class TestRunMonteCarlo:
             run_monte_carlo(4, 1, 0, mode="both")
         with pytest.raises(ValueError):
             run_monte_carlo(4, 0, 0)
+        with pytest.raises(ValueError):
+            run_monte_carlo(4, 1, 0, workers=0)
 
     def test_density_trend_smoke(self):
         # the full density trend is an acceptance criterion; this is a

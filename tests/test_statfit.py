@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from deconflict import statfit
 from deconflict.errors import DegenerateSamples, FitDomainError, NonConvergence
 from deconflict.statfit import (DistributionFamily, fit, fit_report,
                                 make_histogram, pdf, select_best)
+from helpers import child_env
 
 
 class TestMakeHistogram:
@@ -144,3 +148,47 @@ class TestFitReport:
         assert fit_report(x, families=families)["selected"] == "gamma"
         assert calls == list(families)
         assert select_best(x, families=families[1:]).family is DistributionFamily.NORMAL
+
+
+class TestSpecialFunctions:
+    def test_closed_forms(self):
+        assert statfit._digamma(1.0) == pytest.approx(-np.euler_gamma, abs=1e-13)
+        assert statfit._digamma(0.5) == pytest.approx(
+            -np.euler_gamma - 2.0 * math.log(2.0), abs=1e-13)
+        assert statfit._trigamma(1.0) == pytest.approx(math.pi ** 2 / 6.0, rel=1e-13)
+        assert statfit._trigamma(0.5) == pytest.approx(math.pi ** 2 / 2.0, rel=1e-13)
+
+    def test_recurrences_across_the_series_switch(self):
+        # below x = 10 both functions recurse upward; from x = 10 on the
+        # identities check the asymptotic series against each other
+        for x in np.linspace(0.05, 40.0, 800):
+            x = float(x)
+            assert statfit._digamma(x + 1.0) - statfit._digamma(x) == pytest.approx(
+                1.0 / x, rel=0.0, abs=1e-13)
+            assert statfit._trigamma(x) - statfit._trigamma(x + 1.0) == pytest.approx(
+                1.0 / (x * x), rel=0.0, abs=1e-13)
+
+    def test_against_scipy_reference(self):
+        special = pytest.importorskip("scipy.special")
+        for x in np.geomspace(0.05, 1e4, 2001):
+            x = float(x)
+            psi = float(special.digamma(x))
+            assert abs(statfit._digamma(x) - psi) <= 1e-13 * max(1.0, abs(psi))
+            tri = float(special.polygamma(1, x))
+            assert abs(statfit._trigamma(x) - tri) <= 1e-12 * tri
+            lg = float(special.gammaln(x))
+            assert abs(math.lgamma(x) - lg) <= 1e-13 * max(1.0, abs(lg))
+        grid = np.geomspace(0.05, 1e4, 121)
+        for a in grid:
+            for b in grid:
+                ref = float(special.betaln(a, b))
+                assert abs(statfit._betaln(float(a), float(b)) - ref) <= 1e-9
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, deconflict.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
