@@ -1,12 +1,13 @@
 """Exhaustive search over flight orders minimizing total departure delay."""
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .errors import TooManyAgents
 from .kinematics import SeparationConfig, forbidden_interval
-from .scheduler import Schedule, compute_pair_intervals, greedy_schedule
+from .scheduler import Schedule, build_schedules, order_tree, pair_arrays, total_of
+# unused here, but perfbench/spans.py patches optimizer.greedy_schedule
+from .scheduler import greedy_schedule  # noqa: F401
 
 #: exhaustive enumeration cap: 9! = 362,880 schedules
 DEFAULT_ORDER_CAP = 9
@@ -51,13 +52,11 @@ def average_delay(schedule: Schedule) -> float:
     deps = schedule.departures
     if not deps:
         raise ValueError("schedule is empty")
-    return sum(deps) / len(deps)
+    return total_of(deps) / len(deps)
 
 
-def per_order_table(missions, cfg: SeparationConfig,
-                    cap: int = DEFAULT_ORDER_CAP,
-                    pair_solver=forbidden_interval) -> tuple[OrderResult, ...]:
-    """Evaluate every permutation; output in lexicographic order of mission ids.
+def _sorted_tree(missions, cfg, cap, pair_solver):
+    """Mission ids in sorted order and order_tree over those missions.
 
     Pairwise forbidden spans depend only on the mission set, so they are
     computed once and shared across all orders.
@@ -69,14 +68,27 @@ def per_order_table(missions, cfg: SeparationConfig,
     if n > cap:
         raise TooManyAgents(f"{n} agents exceeds the {cap}-agent enumeration cap "
                             f"({math.factorial(cap)} orders)")
-    pair_intervals = compute_pair_intervals(missions, cfg, pair_solver)
-    results = []
-    for perm in itertools.permutations(missions):
-        schedule = greedy_schedule(perm, cfg, pair_intervals)
-        total = schedule.total_delay
-        results.append(OrderResult(order=schedule.order, schedule=schedule,
-                                   total_delay=total, average_delay=total / n))
-    return tuple(results)
+    return [m.id for m in missions], order_tree(*pair_arrays(missions, cfg, pair_solver))
+
+
+def order_averages(missions, cfg: SeparationConfig,
+                   cap: int = DEFAULT_ORDER_CAP,
+                   pair_solver=forbidden_interval) -> list[float]:
+    """Average delay of every order, as in per_order_table, without its objects."""
+    ids, (_, deps, _) = _sorted_tree(missions, cfg, cap, pair_solver)
+    return (total_of(deps.T) / len(ids)).tolist()
+
+
+def per_order_table(missions, cfg: SeparationConfig,
+                    cap: int = DEFAULT_ORDER_CAP,
+                    pair_solver=forbidden_interval) -> tuple[OrderResult, ...]:
+    """Evaluate every permutation; output in lexicographic order of mission ids."""
+    ids, (orders, deps, masks) = _sorted_tree(missions, cfg, cap, pair_solver)
+    n = len(ids)
+    return tuple(OrderResult(order=s.order, schedule=s, total_delay=total,
+                             average_delay=total / n)
+                 for s, total in zip(build_schedules(ids, orders, deps, masks),
+                                     total_of(deps.T).tolist()))
 
 
 def optimize_order(missions, cfg: SeparationConfig,

@@ -23,7 +23,9 @@ import numpy as np
 
 from .errors import TopologyRejectionExhausted
 from .kinematics import Mission, SeparationConfig, Vec2
-from .optimizer import per_order_table
+from .optimizer import order_averages
+# unused here, but perfbench/spans.py patches scenario.per_order_table
+from .optimizer import per_order_table  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -153,10 +155,10 @@ def _topology_delays(cfg: AirspaceConfig, mode: str, cap: int):
         missions = generate_topology(cfg)
     except TopologyRejectionExhausted:
         return None
-    table = per_order_table(missions, SeparationConfig(h=cfg.h), cap=cap)
+    averages = order_averages(missions, SeparationConfig(h=cfg.h), cap=cap)
     if mode == "optimal":
-        return [min(r.average_delay for r in table)]
-    return [r.average_delay for r in table]
+        return [min(averages)]
+    return averages
 
 
 def _mc_worker(args):

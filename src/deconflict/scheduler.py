@@ -1,21 +1,39 @@
-"""Greedy earliest-departure assignment for a fixed flight order.
+"""Greedy earliest-departure assignment for flight orders.
 
-The scheduler walks the flight order. Each agent collects the forbidden span
+The scheduler walks a flight order. Each agent collects the forbidden span
 of every already-scheduled agent, shifted by that agent's departure, and
 takes the least instant t >= 0 that lies in none of them.
 
 Forbidden spans are open, so their endpoints stay feasible: the separation
 constraint is >= h and a tangent pass is allowed. The least feasible instant
 is therefore 0 or the upper end of one of the spans.
+
+One array step places the next agent of many partial orders at once.
+`greedy_schedule` runs it on a single order; `order_tree` runs it once per
+level of the permutation tree to place all N! orders.
 """
 
+import functools
+import operator
 from dataclasses import dataclass
+from itertools import compress
 
-from .kinematics import (ForbiddenInterval, IntervalKind, SeparationConfig,
-                         forbidden_interval)
+import numpy as np
+
+from .kinematics import IntervalKind, SeparationConfig, forbidden_interval
 
 #: departure sits on a forbidden-span edge within this |difference| -> binding
 BINDING_TOL = 1e-9
+
+
+def total_of(departures):
+    """d0 + d1 + ..., added left to right.
+
+    Works on a sequence of floats and on the columns of a departures array
+    (pass its transpose) alike, with the same float result. sum() is not
+    used because it compensates from Python 3.12 on.
+    """
+    return functools.reduce(operator.add, departures, 0.0)
 
 
 @dataclass(frozen=True)
@@ -42,23 +60,93 @@ class Schedule:
 
     @property
     def total_delay(self) -> float:
-        return sum(self.departures)
+        return total_of(self.departures)
 
 
-def compute_pair_intervals(missions, cfg: SeparationConfig,
-                           pair_solver=forbidden_interval) -> dict:
-    """Forbidden interval for every ordered pair of missions.
+def pair_arrays(missions, cfg: SeparationConfig, pair_solver=forbidden_interval):
+    """Forbidden spans of every ordered pair as two (n, n) arrays.
 
-    Solves each unordered pair once and mirrors it for the reversed order,
-    which keeps the two directions exactly consistent.
+    lo[i, j], hi[i, j] bound the delays of missions[j] relative to
+    missions[i]; both are NaN where the span is EMPTY and on the diagonal.
+    Each unordered pair is solved once and mirrored as (-hi, -lo) for the
+    reversed order, which keeps the two directions exactly consistent.
     """
-    table: dict[tuple[str, str], ForbiddenInterval] = {}
+    n = len(missions)
+    lo = np.full((n, n), np.nan)
+    hi = np.full((n, n), np.nan)
     for i, a in enumerate(missions):
-        for b in missions[i + 1:]:
-            fi = pair_solver(a, b, cfg)
-            table[(a.id, b.id)] = fi
-            table[(b.id, a.id)] = fi.mirrored()
-    return table
+        for j in range(i + 1, n):
+            fi = pair_solver(a, missions[j], cfg)
+            if fi.kind is IntervalKind.BOUNDED:
+                lo[i, j], hi[i, j] = fi.lo, fi.hi
+                lo[j, i], hi[j, i] = -fi.hi, -fi.lo
+    return lo, hi
+
+
+def place_next(lo, hi, prefix, deps, nxt):
+    """Earliest free departure of agent nxt[r] after the partial order prefix[r].
+
+    prefix (R, k) holds agent indices, deps (R, k) their departures. The k
+    spans of row r are shifted by the earlier departures. From t = 0, while
+    some span has lo < t < hi, t moves to the largest such hi. Every move
+    clears the spans it leaves behind, so k moves reach the least free
+    instant. Returns t (R,) and the (R, k) mask of the spans whose upper
+    end t sits on within BINDING_TOL, in prefix order.
+    """
+    col = nxt[:, None]
+    los = lo[prefix, col] + deps
+    his = hi[prefix, col] + deps
+    t = np.zeros(len(nxt))
+    for _ in range(prefix.shape[1]):
+        inside = (los < t[:, None]) & (t[:, None] < his)
+        if not inside.any():
+            break
+        t = np.maximum(t, np.where(inside, his, -np.inf).max(axis=1))
+    return t, np.abs(t[:, None] - his) <= BINDING_TOL
+
+
+def order_tree(lo, hi):
+    """Greedy departures of all n! orders of agents 0..n-1.
+
+    The permutation tree is grown one level at a time: each prefix row gets
+    one child per remaining agent, in ascending index order, so the last
+    level lists the orders lexicographically. Returns the (n!, n) orders,
+    their (n!, n) departures, and per position p the (n!/(n-p-1)!, p)
+    binding masks of the level that placed it; final row r descends from
+    row r // (n-p-1)! of that level.
+    """
+    n = len(lo)
+    prefix = np.empty((1, 0), dtype=np.intp)
+    deps = np.empty((1, 0))
+    rest = np.arange(n)[None, :]  # agents not yet placed, ascending, per row
+    masks = []
+    for k in range(n):
+        m = n - k
+        nxt = rest.ravel()
+        rest = rest[:, [[c for c in range(m) if c != j] for j in range(m)]]
+        rest = rest.reshape(len(nxt), m - 1)
+        prefix = np.repeat(prefix, m, axis=0)
+        deps = np.repeat(deps, m, axis=0)
+        t, mask = place_next(lo, hi, prefix, deps, nxt)
+        prefix = np.concatenate((prefix, nxt[:, None]), axis=1)
+        deps = np.concatenate((deps, t[:, None]), axis=1)
+        masks.append(mask)
+    return prefix, deps, masks
+
+
+def build_schedules(ids, orders, deps, masks) -> list[Schedule]:
+    """Schedule objects for the rows of an order_tree-shaped result."""
+    n_rows = len(orders)
+    id_rows = list(map(tuple, np.array(ids, dtype=object)[orders].tolist()))
+    per_position = []
+    for mask in masks:
+        step = n_rows // len(mask)
+        bound = [tuple(compress(id_rows[r], row))
+                 for r, row in zip(range(0, n_rows, step), mask.tolist())]
+        per_position.append([b for b in bound for _ in range(step)])
+    bindings = list(zip(*per_position)) or [()] * n_rows
+    return [Schedule(entries=tuple(zip(order, row)), order=order, bindings=b)
+            for order, row, b in zip(id_rows, deps.tolist(), bindings)]
 
 
 def greedy_schedule(order, cfg: SeparationConfig, pair_intervals=None) -> Schedule:
@@ -67,37 +155,24 @@ def greedy_schedule(order, cfg: SeparationConfig, pair_intervals=None) -> Schedu
     Missions are processed in the given order. For agent j the span of every
     earlier agent i is shifted by i's departure and kept in full, including
     its negative-delay part, so the result is safe for all pairs even when
-    the greedy choice reverses the departure order. The spans are swept in
-    order of their lower end from t = 0: a span that starts before t and
-    ends after it moves t to its end, and the first span that starts at or
-    after t ends the sweep, since t lies in none of the spans left. The
-    first agent always departs at t = 0.
+    the greedy choice reverses the departure order. The first agent always
+    departs at t = 0. pair_intervals, if given, maps (first id, second id)
+    to that pair's ForbiddenInterval.
     """
     missions = list(order)
     ids = [m.id for m in missions]
     if len(set(ids)) != len(ids):
         raise ValueError(f"mission ids must be distinct, got {ids}")
     if pair_intervals is None:
-        pair_intervals = compute_pair_intervals(missions, cfg)
-
-    departures: list[float] = []
-    bindings: list[tuple[str, ...]] = []
-    for j, mid in enumerate(ids):
-        spans: list[tuple[float, float, str]] = []
-        for i in range(j):
-            fi = pair_intervals[(ids[i], mid)]
-            if fi.kind is IntervalKind.BOUNDED:
-                spans.append((*fi.shifted(departures[i]), ids[i]))
-        t = 0.0
-        for lo, hi, _ in sorted(spans):
-            if lo >= t:
-                break
-            if hi > t:
-                t = hi
-        departures.append(t)
-        bindings.append(tuple(other for _, hi, other in spans
-                              if abs(t - hi) <= BINDING_TOL))
-
-    return Schedule(entries=tuple(zip(ids, departures)),
-                    order=tuple(ids),
-                    bindings=tuple(bindings))
+        lo, hi = pair_arrays(missions, cfg)
+    else:
+        lo, hi = pair_arrays(missions, cfg,
+                             lambda a, b, _: pair_intervals[(a.id, b.id)])
+    row = np.arange(len(ids))[None, :]
+    deps = np.empty((1, 0))
+    masks = []
+    for k in range(len(ids)):
+        t, mask = place_next(lo, hi, row[:, :k], deps, row[0, k:k + 1])
+        deps = np.concatenate((deps, t[:, None]), axis=1)
+        masks.append(mask)
+    return build_schedules(ids, row, deps, masks)[0]

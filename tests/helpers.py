@@ -1,13 +1,16 @@
 """Shared helpers for the test suite: random-instance generators, a segment
-intersection test, and the environment for child interpreters."""
+intersection test, the scalar greedy sweep, and the environment for child
+interpreters."""
 
+import itertools
 import os
 from pathlib import Path
 
 import numpy as np
 
 import deconflict
-from deconflict.kinematics import Mission, Vec2
+from deconflict.kinematics import IntervalKind, Mission, Vec2
+from deconflict.scheduler import BINDING_TOL
 
 BOX_SIDE = 20.0
 SPEED_RANGE = (0.66, 1.89)
@@ -93,6 +96,56 @@ def segments_intersect(p1: Vec2, p2: Vec2, p3: Vec2, p4: Vec2) -> bool:
     if d4 == 0 and _on_segment(p1.x, p1.y, p2.x, p2.y, p4.x, p4.y):
         return True
     return False
+
+
+def reference_schedule(ids, pair_intervals):
+    """Departures and bindings of one order by the scalar earliest-free sweep.
+
+    pair_intervals maps (first id, second id) to a ForbiddenInterval. Each
+    agent's shifted spans are swept in order of their lower end from t = 0:
+    a span that starts before t and ends after it moves t to its end, and
+    the first span that starts at or after t ends the sweep. Independent of
+    the array step in deconflict.scheduler, which tests compare against it.
+    """
+    departures: list[float] = []
+    bindings: list[tuple[str, ...]] = []
+    for j, mid in enumerate(ids):
+        spans = []
+        for i in range(j):
+            fi = pair_intervals[(ids[i], mid)]
+            if fi.kind is IntervalKind.BOUNDED:
+                spans.append((*fi.shifted(departures[i]), ids[i]))
+        t = 0.0
+        for lo, hi, _ in sorted(spans):
+            if lo >= t:
+                break
+            if hi > t:
+                t = hi
+        departures.append(t)
+        bindings.append(tuple(other for _, hi, other in spans
+                              if abs(t - hi) <= BINDING_TOL))
+    return tuple(departures), tuple(bindings)
+
+
+def reference_order_table(missions, cfg, pair_solver):
+    """(order, departures, bindings, total, average) of every order, in
+    lexicographic id order, from the scalar sweep. Totals add the departures
+    left to right in a plain loop."""
+    missions = sorted(missions, key=lambda m: m.id)
+    table = {}
+    for i, a in enumerate(missions):
+        for b in missions[i + 1:]:
+            fi = pair_solver(a, b, cfg)
+            table[(a.id, b.id)] = fi
+            table[(b.id, a.id)] = fi.mirrored()
+    rows = []
+    for order in itertools.permutations(m.id for m in missions):
+        departures, bindings = reference_schedule(order, table)
+        total = 0.0
+        for d in departures:
+            total += d
+        rows.append((order, departures, bindings, total, total / len(order)))
+    return rows
 
 
 def child_env(base=None, **extra) -> dict:

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from deconflict import oracle
+from deconflict import atlanta, oracle
 from deconflict.errors import TooManyAgents
-from deconflict.kinematics import Mission, SeparationConfig, Vec2
+from deconflict.kinematics import (ForbiddenInterval, Mission, SeparationConfig,
+                                   Vec2, forbidden_interval)
 from deconflict.optimizer import (average_delay, optimize_order,
                                   per_order_table)
+from deconflict.scenario import AirspaceConfig, generate_topology, run_monte_carlo
 from deconflict.scheduler import Schedule, greedy_schedule
-from helpers import random_instance
+from helpers import random_instance, reference_order_table
 
 ROOT2 = math.sqrt(2.0)
 
@@ -143,3 +145,106 @@ class TestOptimizeOrder:
     def test_efficiency_gain_zero_without_conflicts(self, parallel_pair, cfg):
         search = optimize_order(parallel_pair, cfg)
         assert search.efficiency_gain == 0.0
+
+
+def table_rows(table):
+    return [(r.order, r.schedule.departures, r.schedule.bindings,
+             r.total_delay, r.average_delay) for r in table]
+
+
+def test_order_table_matches_reference_sweep():
+    """Every row of the array placement equals the scalar sweep exactly."""
+    cases = [(generate_topology(AirspaceConfig(n_agents=n, seed=97 * n + s)),
+              SeparationConfig(h=1.5))
+             for n in range(1, 8) for s in range(3 if n < 7 else 1)]
+    cases += [(atlanta.load_missions(), SeparationConfig(h=h))
+              for h in (50.0, 150.0, 300.0, 650.0, 1000.0)]
+    bound_seen = 0
+    for missions, cfg in cases:
+        table = per_order_table(missions, cfg)
+        rows = reference_order_table(missions, cfg, forbidden_interval)
+        assert table_rows(table) == rows
+        bound_seen += sum(1 for r in rows for b in r[2] if b)
+        # a single order placed on its own takes the same step
+        schedule = greedy_schedule(missions, cfg)
+        by_id = {r[0]: r for r in rows}
+        ref = by_id[tuple(m.id for m in missions)]
+        assert (schedule.departures, schedule.bindings) == ref[1:3]
+        assert schedule.total_delay == ref[3]
+    assert bound_seen > 0
+    # Monte Carlo reads the same averages off the totals array, bit for bit
+    for n, seed in ((4, 5), (6, 11)):
+        table = per_order_table(
+            generate_topology(AirspaceConfig(n_agents=n, seed=seed)),
+            SeparationConfig(h=1.5))
+        averages = [average_delay(r.schedule) for r in table]
+        pooled = run_monte_carlo(n_agents=n, n_topologies=1, base_seed=seed)
+        assert [s.average_delay for s in pooled.samples] == averages
+        optimal = run_monte_carlo(n_agents=n, n_topologies=1, base_seed=seed,
+                                  mode="optimal")
+        assert [s.average_delay for s in optimal.samples] == [min(averages)]
+
+
+class TestArrayPlacementEdges:
+    """per_order_table on hand-made spans from a stub pair solver.
+
+    spans maps (first id, second id), first < second, to (lo, hi); pairs
+    not listed never conflict. Row 0 is the lexicographic order a, b, c, ...
+    """
+
+    @staticmethod
+    def table(n, spans):
+        missions = [Mission(chr(ord("a") + i), Vec2(0.0, 0.0), Vec2(1.0, 0.0), 1.0)
+                    for i in range(n)]
+
+        def stub(first, second, _cfg):
+            span = spans.get((first.id, second.id))
+            return ForbiddenInterval.empty() if span is None else \
+                ForbiddenInterval.bounded(*span)
+
+        cfg = SeparationConfig(h=1.5)
+        table = per_order_table(missions, cfg, pair_solver=stub)
+        assert table_rows(table) == reference_order_table(missions, cfg, stub)
+        return table
+
+    def test_single_agent(self):
+        (row,) = self.table(1, {})
+        assert row.order == ("a",)
+        assert row.schedule.departures == (0.0,)
+        assert row.schedule.bindings == ((),)
+        assert (row.total_delay, row.average_delay) == (0.0, 0.0)
+
+    def test_all_empty_spans(self):
+        table = self.table(4, {})
+        assert len(table) == 24
+        for r in table:
+            assert r.schedule.departures == (0.0,) * 4
+            assert r.schedule.bindings == ((),) * 4
+            assert r.total_delay == 0.0
+
+    def test_touching_spans_leave_their_shared_end_free(self):
+        # c is pushed to 4 by b's span; a's span opens there and stays open
+        first = self.table(3, {("a", "c"): (4.0, 9.0), ("b", "c"): (-1.0, 4.0)})[0]
+        assert first.schedule.departures == (0.0, 0.0, 4.0)
+        assert first.schedule.bindings == ((), (), ("b",))
+
+    def test_span_starting_at_zero_leaves_zero_free(self):
+        first, second = self.table(2, {("a", "b"): (0.0, 4.0)})
+        assert first.schedule.departures == (0.0, 0.0)
+        assert first.schedule.bindings == ((), ())
+        # reversed, the mirrored span (-4, 0) also leaves 0 free
+        assert second.order == ("b", "a")
+        assert second.schedule.departures == (0.0, 0.0)
+
+    def test_nested_span_does_not_pull_time_back(self):
+        first = self.table(3, {("a", "c"): (-1.0, 10.0), ("b", "c"): (2.0, 5.0)})[0]
+        assert first.schedule.departures == (0.0, 0.0, 10.0)
+        assert first.schedule.bindings == ((), (), ("a",))
+
+    def test_chain_needs_every_move_at_the_last_level(self):
+        # d must step over all three spans one after another: 0 -> 1 -> 2 -> 3
+        first = self.table(4, {("a", "d"): (-1.0, 1.0), ("b", "d"): (0.5, 2.0),
+                               ("c", "d"): (1.5, 3.0)})[0]
+        assert first.schedule.departures == (0.0, 0.0, 0.0, 3.0)
+        assert first.schedule.bindings == ((), (), (), ("c",))
+        assert first.total_delay == 3.0
