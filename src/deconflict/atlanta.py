@@ -5,7 +5,6 @@ given as lat/lon and mph in the packaged geodetic scenario. The separation
 radius is a free parameter of the study; the runner takes it explicitly.
 """
 
-import functools
 import json
 from importlib import resources
 
@@ -22,9 +21,7 @@ ROUTES = {
 }
 
 
-@functools.cache
 def load_scenario() -> ScenarioFile:
-    """The packaged scenario, parsed once; ScenarioFile is frozen and all tuples."""
     text = resources.files("deconflict.data").joinpath("atlanta.json").read_text()
     return parse_scenario(json.loads(text))
 

@@ -16,7 +16,7 @@ level of the permutation tree to place all N! orders.
 import functools
 import operator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -79,7 +79,8 @@ def pair_arrays(missions, cfg: SeparationConfig, pair_solver=forbidden_interval)
             fi = pair_solver(a, missions[j], cfg)
             if fi.kind is IntervalKind.BOUNDED:
                 lo[i, j], hi[i, j] = fi.lo, fi.hi
-                lo[j, i], hi[j, i] = -fi.hi, -fi.lo
+                back = fi.mirrored()
+                lo[j, i], hi[j, i] = back.lo, back.hi
     return lo, hi
 
 
@@ -134,19 +135,33 @@ def order_tree(lo, hi):
     return prefix, deps, masks
 
 
+def _spread(column, step):
+    """Each item of column, step times over, as a lazy iterator."""
+    return chain.from_iterable(map(repeat, column, repeat(step)))
+
+
 def build_schedules(ids, orders, deps, masks) -> list[Schedule]:
-    """Schedule objects for the rows of an order_tree-shaped result."""
+    """Schedule objects for the rows of an order_tree-shaped result.
+
+    The rows below one node of the permutation tree share that node's
+    (id, departure) entry and binding tuple. Each is made once per node and
+    repeated lazily into the rows, and each mask is turned into Python
+    objects one position at a time.
+    """
     n_rows = len(orders)
+    if not masks:
+        return [Schedule(entries=(), order=(), bindings=())] * n_rows
     id_rows = list(map(tuple, np.array(ids, dtype=object)[orders].tolist()))
-    per_position = []
-    for mask in masks:
+    entry_cols, binding_cols = [], []
+    for p, mask in enumerate(masks):
         step = n_rows // len(mask)
-        bound = [tuple(compress(id_rows[r], row))
-                 for r, row in zip(range(0, n_rows, step), mask.tolist())]
-        per_position.append([b for b in bound for _ in range(step)])
-    bindings = list(zip(*per_position)) or [()] * n_rows
-    return [Schedule(entries=tuple(zip(order, row)), order=order, bindings=b)
-            for order, row, b in zip(id_rows, deps.tolist(), bindings)]
+        nodes = id_rows[::step]
+        entries = zip(map(operator.itemgetter(p), nodes), deps[::step, p].tolist())
+        bound = list(map(tuple, map(compress, nodes, mask.tolist())))
+        entry_cols.append(_spread(entries, step))
+        binding_cols.append(_spread(bound, step))
+    return [Schedule(entries=e, order=o, bindings=b)
+            for o, e, b in zip(id_rows, zip(*entry_cols), zip(*binding_cols))]
 
 
 def greedy_schedule(order, cfg: SeparationConfig, pair_intervals=None) -> Schedule:

@@ -164,12 +164,16 @@ def test_order_table_matches_reference_sweep():
         table = per_order_table(missions, cfg)
         rows = reference_order_table(missions, cfg, forbidden_interval)
         assert table_rows(table) == rows
+        assert all(r.schedule.order == r.order and
+                   r.schedule.entries == tuple(zip(r.order, r.schedule.departures))
+                   for r in table)
         bound_seen += sum(1 for r in rows for b in r[2] if b)
         # a single order placed on its own takes the same step
         schedule = greedy_schedule(missions, cfg)
         by_id = {r[0]: r for r in rows}
         ref = by_id[tuple(m.id for m in missions)]
         assert (schedule.departures, schedule.bindings) == ref[1:3]
+        assert schedule.entries == tuple(zip(ref[0], ref[1]))
         assert schedule.total_delay == ref[3]
     assert bound_seen > 0
     # Monte Carlo reads the same averages off the totals array, bit for bit

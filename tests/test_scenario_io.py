@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from deconflict import atlanta
 from deconflict.errors import ScenarioFormatError
 from deconflict.geo import mph_to_mps
 from deconflict.scenario_io import (parse_scenario, read_scenario,
@@ -104,9 +103,3 @@ def test_invalid_json_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioFormatError):
         read_scenario(path)
-
-
-def test_packaged_atlanta_scenario_is_parsed_once():
-    assert atlanta.load_scenario() is atlanta.load_scenario()
-    first, second = atlanta.load_missions(), atlanta.load_missions()
-    assert first == second and first is not second

@@ -120,6 +120,11 @@ class TestGreedySchedule:
         s2 = greedy_schedule(missions, cfg)
         assert s1 == s2
 
+    def test_empty_order_gives_empty_schedule(self, cfg):
+        schedule = greedy_schedule([], cfg)
+        assert (schedule.entries, schedule.order, schedule.bindings) == ((), (), ())
+        assert schedule.total_delay == 0.0
+
     def test_duplicate_ids_rejected(self, cfg):
         m = Mission("x", Vec2(0, 0), Vec2(10, 0), 1.0)
         with pytest.raises(ValueError):
