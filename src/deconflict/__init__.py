@@ -7,9 +7,12 @@ greedy pass assigns each flight the earliest feasible departure for a fixed
 order; exhaustive order search minimizes total delay; a seeded Monte Carlo
 harness and distribution fitting characterize delay statistics across
 traffic densities.
+
+The pair solver (kinematics) is plain-Python float math; the brute-force
+oracle that checks it (oracle) shares no code with it and samples each
+window with numpy.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .errors import (DeconflictError, DegenerateRelativeVelocity,
                      DegenerateSamples, FitDomainError, NonConvergence,
                      OutOfProjectionRange, ScenarioFormatError, TooManyAgents,
@@ -27,3 +30,6 @@ from .statfit import (DistributionFamily, FitResult, Histogram, fit,
                       fit_report, make_histogram, pdf, select_best)
 
 __version__ = "0.1.0"
+
+#: name of the one compute backend, recorded in benchmark environments
+KERNEL_BACKEND = "numpy"

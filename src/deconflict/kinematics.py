@@ -16,14 +16,13 @@ from arrival onward an agent occupies no airspace.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
-import numpy as np
-
-from . import _kernels
 from .errors import DegenerateRelativeVelocity
 
-#: |U|^2 threshold below which a relative velocity counts as zero.
-UU_EPS = _kernels.UU_EPS
+#: |U|^2 at or below this means the velocities are identical for all
+#: purposes (drift < 3e-8 m over a 30 s window).
+UU_EPS = 1e-18
 
 
 @dataclass(frozen=True)
@@ -100,20 +99,18 @@ class RelativeState:
 
 @dataclass(frozen=True)
 class SeparationConfig:
-    """Separation radius plus the width of the boundary verification band.
+    """Separation radius h (m), the one setting of the pair solver.
 
-    h: minimum separation radius (m). tol (s): checks of the pair solver
+    tol (s) is a fixed constant, not a field: checks of the pair solver
     against the sampled oracle skip delays within 2*tol of a span endpoint.
-    The solver itself does not read tol.
+    The solver itself does not read it.
     """
     h: float
-    tol: float = 1e-6
+    tol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 class IntervalKind(Enum):
@@ -167,17 +164,6 @@ class ForbiddenInterval:
         return self.lo + t, self.hi + t
 
 
-def mission_row(m: Mission) -> tuple[float, float, float, float, float]:
-    """Unpack a mission into the (ox, oy, vx, vy, dur) scalars the kernels take."""
-    v = m.velocity
-    return m.origin.x, m.origin.y, v.x, v.y, m.duration
-
-
-def missions_array(missions) -> np.ndarray:
-    """Stack missions into the (n, 5) kernel layout."""
-    return np.array([mission_row(m) for m in missions], dtype=np.float64)
-
-
 def relative_state(a: Mission, b: Mission, delta: float) -> RelativeState:
     """Relative kinematics of a with respect to b when b departs `delta` after a.
 
@@ -207,6 +193,25 @@ def cpa_time(rs: RelativeState) -> float:
     return -rs.U.dot(rs.P) / uu
 
 
+def _clamped_min_sq(ux, uy, cx, cy, w0, w1):
+    """Least |U t + C|^2 over t in [w0, w1]; math.inf if the window is empty.
+
+    The quadratic is evaluated at its vertex clamped into the window.
+    """
+    if w0 > w1:
+        return math.inf
+    uu = ux * ux + uy * uy
+    # with identical velocities the gap is constant over the window
+    tmin = -(ux * cx + uy * cy) / uu if uu > UU_EPS else w0
+    if tmin < w0:
+        tmin = w0
+    elif tmin > w1:
+        tmin = w1
+    rx = ux * tmin + cx
+    ry = uy * tmin + cy
+    return rx * rx + ry * ry
+
+
 def min_separation_sq(a: Mission, t_dep_a: float, b: Mission, t_dep_b: float) -> float:
     """Minimum squared distance over the co-airborne window.
 
@@ -214,10 +219,13 @@ def min_separation_sq(a: Mission, t_dep_a: float, b: Mission, t_dep_b: float) ->
     evaluated at its vertex clamped into the window. Returns math.inf when
     the airborne windows do not overlap (no co-flight, no conflict possible).
     """
-    ar = mission_row(a)
-    br = mission_row(b)
-    return float(_kernels.pair_min_sep_sq(ar[0], ar[1], ar[2], ar[3], ar[4], t_dep_a,
-                                          br[0], br[1], br[2], br[3], br[4], t_dep_b))
+    va = a.velocity
+    vb = b.velocity
+    return float(_clamped_min_sq(
+        va.x - vb.x, va.y - vb.y,
+        a.origin.x - va.x * t_dep_a - b.origin.x + vb.x * t_dep_b,
+        a.origin.y - va.y * t_dep_a - b.origin.y + vb.y * t_dep_b,
+        max(t_dep_a, t_dep_b), min(t_dep_a + a.duration, t_dep_b + b.duration)))
 
 
 def forbidden_interval(first: Mission, second: Mission,
@@ -225,20 +233,93 @@ def forbidden_interval(first: Mission, second: Mission,
     """Delays of `second` relative to `first` that violate separation.
 
     The endpoints are the least and greatest delay at which the gap touches
-    h while both fly: a crossing of the buffer circle on an edge of the
-    co-airborne window, a window corner inside the circle, or the unclamped
-    closest approach grazing it. They are exact up to rounding and returned
-    on the safe side: scheduling exactly at lo or hi yields a tangent (or
-    cleaner) pass. A pure tangency is no conflict and gives an empty span.
-    The span is always bounded: at a delay outside [-second.duration,
+    h while both fly, exact up to rounding and returned on the safe side:
+    scheduling exactly at lo or hi yields a tangent (or cleaner) pass. The
+    span is always bounded: at a delay outside [-second.duration,
     first.duration] the two flights are never airborne together.
+
+    With first departing at 0 and second at delta, both fly at instant t
+    exactly on the parallelogram 0 <= t <= dur_a, t - dur_b <= delta <= t,
+    over which the gap R = P0 + U t + Vb delta is affine. So {|R| <= h} is
+    an ellipse (a strip when U is parallel to Vb), its intersection with the
+    parallelogram is convex, and lo/hi are the least and greatest delta on
+    it. They are found among three kinds of candidate: the points where an
+    edge of the parallelogram crosses the circle |R| = h, the vertices
+    inside it, and the ellipse's two delta-extremes when they lie inside the
+    parallelogram. A span whose midpoint is conflict-free is a pure tangency
+    and returned empty. Each endpoint is then stepped outward until it is
+    conflict-free, so both are certified safe (tangent passes are allowed).
     """
-    fr = mission_row(first)
-    sr = mission_row(second)
-    code, lo, hi = _kernels.forbidden_core(
-        fr[0], fr[1], fr[2], fr[3], fr[4],
-        sr[0], sr[1], sr[2], sr[3], sr[4],
-        cfg.h)
-    if code == 0:
+    h = cfg.h
+    va = first.velocity
+    vb = second.velocity
+    adur = first.duration
+    bdur = second.duration
+    avx, avy, bvx, bvy = va.x, va.y, vb.x, vb.y
+    hh = h * h
+    p0x = first.origin.x - second.origin.x
+    p0y = first.origin.y - second.origin.y
+    ux = avx - bvx
+    uy = avy - bvy
+
+    def gap_sq(delta):
+        """Min squared co-airborne gap when second departs delta after first."""
+        return _clamped_min_sq(ux, uy, p0x + bvx * delta, p0y + bvy * delta,
+                               max(0.0, delta), min(adur, delta + bdur))
+
+    ax = avx * adur
+    ay = avy * adur
+    bx = bvx * bdur
+    by = bvy * bdur
+    # (delta, R) at the vertices (t, delta) = (0, -dur_b), (0, 0),
+    # (dur_a, dur_a), (dur_a, dur_a - dur_b)
+    v0 = (-bdur, p0x - bx, p0y - by)
+    v1 = (0.0, p0x, p0y)
+    v3 = (adur - bdur, p0x + ax - bx, p0y + ay - by)
+    verts = (v0, v1, (adur, p0x + ax, p0y + ay), v3)
+    cands = [d for d, rx, ry in verts if rx * rx + ry * ry <= hh]
+    # edges: start vertex, change of R along the edge, change of delta
+    for (d0, rx, ry), wx, wy, dd in ((v0, bx, by, bdur), (v3, bx, by, bdur),
+                                     (v0, ax, ay, adur), (v1, ax, ay, adur)):
+        ww = wx * wx + wy * wy
+        cross = rx * wy - ry * wx
+        disc = ww * hh - cross * cross
+        if disc < 0.0:
+            continue
+        dot = rx * wx + ry * wy
+        sq = math.sqrt(disc)
+        for s in ((-dot - sq) / ww, (-dot + sq) / ww):
+            if 0.0 <= s <= 1.0:
+                cands.append(d0 + s * dd)
+    det = ux * bvy - uy * bvx
+    if det != 0.0:
+        # n = (-uy, ux) is normal to U, so n.R = n.P0 + det*delta: delta is
+        # extreme where R = +-h n/|n|, at (t, delta) = M^-1 (R - P0) with M
+        # the matrix of columns U and Vb
+        nn = math.hypot(ux, uy)
+        for sign in (-1.0, 1.0):
+            qx = -sign * h * uy / nn - p0x
+            qy = sign * h * ux / nn - p0y
+            t = (bvy * qx - bvx * qy) / det
+            d = (ux * qy - uy * qx) / det
+            if 0.0 <= t <= adur and t - bdur <= d <= t:
+                cands.append(d)
+    if not cands:
         return ForbiddenInterval.empty()
+    lo = min(cands)
+    hi = max(cands)
+    if lo >= hi or gap_sq(0.5 * (lo + hi)) >= hh:
+        return ForbiddenInterval.empty()
+    # rounding can leave an endpoint a few ulps inside the span; steps start
+    # at one ulp of the durations, since near delta = 0 one ulp of the
+    # endpoint itself is too small to change the separation
+    first_step = math.ulp(max(adur, bdur))
+    step = first_step
+    while gap_sq(lo) < hh:
+        lo -= step
+        step += step
+    step = first_step
+    while gap_sq(hi) < hh:
+        hi += step
+        step += step
     return ForbiddenInterval.bounded(float(lo), float(hi))

@@ -70,7 +70,11 @@ def pair_arrays(missions, cfg: SeparationConfig, pair_solver=forbidden_interval)
     missions[i]; both are NaN where the span is EMPTY and on the diagonal.
     Each unordered pair is solved once and mirrored as (-hi, -lo) for the
     reversed order, which keeps the two directions exactly consistent.
+    Raises ValueError when two missions share an id.
     """
+    ids = [m.id for m in missions]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"mission ids must be distinct, got {ids}")
     n = len(missions)
     lo = np.full((n, n), np.nan)
     hi = np.full((n, n), np.nan)
@@ -164,25 +168,19 @@ def build_schedules(ids, orders, deps, masks) -> list[Schedule]:
             for o, e, b in zip(id_rows, zip(*entry_cols), zip(*binding_cols))]
 
 
-def greedy_schedule(order, cfg: SeparationConfig, pair_intervals=None) -> Schedule:
+def greedy_schedule(order, cfg: SeparationConfig,
+                    pair_solver=forbidden_interval) -> Schedule:
     """Assign each mission the earliest departure compatible with all earlier ones.
 
     Missions are processed in the given order. For agent j the span of every
     earlier agent i is shifted by i's departure and kept in full, including
     its negative-delay part, so the result is safe for all pairs even when
     the greedy choice reverses the departure order. The first agent always
-    departs at t = 0. pair_intervals, if given, maps (first id, second id)
-    to that pair's ForbiddenInterval.
+    departs at t = 0. Mission ids must be distinct.
     """
     missions = list(order)
     ids = [m.id for m in missions]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"mission ids must be distinct, got {ids}")
-    if pair_intervals is None:
-        lo, hi = pair_arrays(missions, cfg)
-    else:
-        lo, hi = pair_arrays(missions, cfg,
-                             lambda a, b, _: pair_intervals[(a.id, b.id)])
+    lo, hi = pair_arrays(missions, cfg, pair_solver)
     row = np.arange(len(ids))[None, :]
     deps = np.empty((1, 0))
     masks = []

@@ -1,64 +1,61 @@
-"""Kernel-level checks: the oracle's delay grid against its per-pair sampler,
-clamped-window edge cases, and the pair solver's tangency, corner and sliver
-cases and certified endpoints."""
+"""Checks of the hot paths through the public entry points: the oracle's
+delay grid against its per-pair sampler, clamped-window edge cases, and the
+pair solver's tangency, corner and sliver cases and certified endpoints,
+and the oracle's independence from the solver's code."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 
-from deconflict import _kernels as K
+import deconflict
 from deconflict import oracle
 from deconflict.kinematics import (IntervalKind, Mission, SeparationConfig, Vec2,
-                                   forbidden_interval, min_separation_sq,
-                                   mission_row)
+                                   forbidden_interval, min_separation_sq)
 from helpers import pair_stream
 
-
-def _rows(seed, n):
-    for a, b in pair_stream(seed, n):
-        yield mission_row(a), mission_row(b)
+CFG = SeparationConfig(h=1.5)
 
 
 def test_grid_kernel_matches_scalar_calls():
     deltas = np.linspace(-6.0, 6.0, 25)
-    for ar, br in _rows(32, 20):
-        grid = K.sampled_delta_grid(*ar, *br, deltas, 0.02, True)
+    for a, b in pair_stream(32, 20):
+        grid = oracle.delta_grid_min_sep_sq(a, b, deltas, 0.02, True)
         for d, g in zip(deltas, grid):
-            assert g == K.sampled_pair_min_sep_sq(*ar, 0.0, *br, float(d), 0.02, True)
+            assert g == oracle.sampled_min_separation_sq(a, 0.0, b, float(d), 0.02, True)
 
 
 def test_pair_min_sep_disjoint_windows():
-    ar, br = next(_rows(33, 1))
-    assert K.pair_min_sep_sq(*ar, 0.0, *br, ar[4] + br[4] + 1.0) == math.inf
+    a, b = next(pair_stream(33, 1))
+    assert min_separation_sq(a, 0.0, b, a.duration + b.duration + 1.0) == math.inf
 
 
 def test_constant_gap_branch():
     # identical velocities: the gap never changes while both fly
-    row = (0.0, 0.0, 1.0, 0.0, 10.0)
-    other = (0.0, 3.0, 1.0, 0.0, 10.0)
-    assert K.pair_min_sep_sq(*row, 0.0, *other, 0.0) == 9.0
+    a = Mission("a", Vec2(0.0, 0.0), Vec2(10.0, 0.0), 1.0)
+    b = Mission("b", Vec2(0.0, 3.0), Vec2(10.0, 3.0), 1.0)
+    assert min_separation_sq(a, 0.0, b, 0.0) == 9.0
 
 
 def test_forbidden_core_tangent_is_empty():
     # parallel offset exactly h: lateral miss equals h, strict violation never occurs
-    a = (0.0, 0.0, 1.0, 0.0, 10.0)
-    b = (0.0, 1.5, 1.0, 0.0, 10.0)
-    code, _, _ = K.forbidden_core(*a, *b, 1.5)
-    assert code == 0
+    a = Mission("a", Vec2(0.0, 0.0), Vec2(10.0, 0.0), 1.0)
+    b = Mission("b", Vec2(0.0, 1.5), Vec2(10.0, 1.5), 1.0)
+    assert forbidden_interval(a, b, CFG).kind is IntervalKind.EMPTY
     # b twice as fast: the gap touches h at every delay in [0, 5], never less
-    b = (0.0, 1.5, 2.0, 0.0, 5.0)
-    code, _, _ = K.forbidden_core(*a, *b, 1.5)
-    assert code == 0
+    b = Mission("b", Vec2(0.0, 1.5), Vec2(10.0, 1.5), 2.0)
+    assert forbidden_interval(a, b, CFG).kind is IntervalKind.EMPTY
 
 
 def test_forbidden_core_corner_conflict():
     # b takes off 0.5 m from where a lands: departing as a lands still
     # conflicts, at the single co-airborne instant, so hi lies just past dur_a
-    a = (0.0, 0.0, 1.0, 0.0, 10.0)
-    b = (10.0, 0.5, 0.0, 1.0, 10.0)
-    code, lo, hi = K.forbidden_core(*a, *b, 1.5)
-    assert code == 1
-    assert 10.0 < hi <= 10.0 + 1e-9
+    a = Mission("a", Vec2(0.0, 0.0), Vec2(10.0, 0.0), 1.0)
+    b = Mission("b", Vec2(10.0, 0.5), Vec2(10.0, 10.5), 1.0)
+    fi = forbidden_interval(a, b, CFG)
+    assert fi.kind is IntervalKind.BOUNDED
+    assert 10.0 < fi.hi <= 10.0 + 1e-9
 
 
 def _sliver(x0, eps, h=1.5):
@@ -94,12 +91,40 @@ def test_sliver_tangent_limit_is_empty():
 
 def test_forbidden_core_endpoints_certified_safe():
     hh = 1.5 * 1.5
-    for ar, br in _rows(34, 150):
-        code, lo, hi = K.forbidden_core(*ar, *br, 1.5)
-        if code != 1:
+    for a, b in pair_stream(34, 150):
+        fi = forbidden_interval(a, b, CFG)
+        if fi.kind is not IntervalKind.BOUNDED:
             continue
-        assert K.delta_min_sep_sq(*ar, *br, lo) >= hh
-        assert K.delta_min_sep_sq(*ar, *br, hi) >= hh
-        mid = 0.5 * (lo + hi)
-        assert K.delta_min_sep_sq(*ar, *br, mid) < hh
+        assert min_separation_sq(a, 0.0, b, fi.lo) >= hh
+        assert min_separation_sq(a, 0.0, b, fi.hi) >= hh
+        mid = 0.5 * (fi.lo + fi.hi)
+        assert min_separation_sq(a, 0.0, b, mid) < hh
 
+
+def _package_imports(path):
+    """(module, imported names) of every deconflict-internal import in a file.
+
+    module is relative to the package ("kinematics"), or "" for
+    `from . import x`.
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "deconflict":
+                    continue
+                module = module.removeprefix("deconflict").lstrip(".")
+            found.append((module, tuple(a.name for a in node.names)))
+        elif isinstance(node, ast.Import):
+            found += [(a.name.removeprefix("deconflict").lstrip("."), ())
+                      for a in node.names if a.name.split(".")[0] == "deconflict"]
+    return found
+
+
+def test_oracle_shares_no_code_with_solver():
+    src = Path(deconflict.__file__).parent
+    assert _package_imports(src / "oracle.py") == [("kinematics", ("Mission",))]
+    for path in src.glob("*.py"):
+        for module, names in _package_imports(path):
+            assert "_kernels" not in module.split(".") + list(names), path.name

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -49,6 +50,20 @@ class TestMission:
     def test_rejects_zero_length_route(self):
         with pytest.raises(ValueError):
             Mission("m", Vec2(1, 2), Vec2(1, 2), 1.0)
+
+
+class TestSeparationConfig:
+    def test_h_is_the_only_setting(self):
+        # tol is the fixed verification band, read by tests and the benchmark
+        assert [f.name for f in dataclasses.fields(SeparationConfig)] == ["h"]
+        assert SeparationConfig(h=1.5).tol == 1e-6
+        with pytest.raises(TypeError):
+            SeparationConfig(h=1.5, tol=1e-3)
+
+    def test_rejects_non_positive_h(self):
+        for h in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                SeparationConfig(h=h)
 
 
 class TestRelativeState:

@@ -9,7 +9,7 @@ from deconflict.errors import TooManyAgents
 from deconflict.kinematics import (ForbiddenInterval, Mission, SeparationConfig,
                                    Vec2, forbidden_interval)
 from deconflict.optimizer import (average_delay, optimize_order,
-                                  per_order_table)
+                                  order_averages, per_order_table)
 from deconflict.scenario import AirspaceConfig, generate_topology, run_monte_carlo
 from deconflict.scheduler import Schedule, greedy_schedule
 from helpers import random_instance, reference_order_table
@@ -141,6 +141,15 @@ class TestOptimizeOrder:
         missions = random_instance(np.random.default_rng(71), 4)
         with pytest.raises(TooManyAgents):
             optimize_order(missions, cfg, cap=3)
+
+    def test_duplicate_ids_rejected(self, cfg):
+        # two missions named "x" would give rows labelled ("x", "x")
+        missions = [Mission("x", Vec2(0, 0), Vec2(10, 0), 1.0),
+                    Mission("x", Vec2(0, 5), Vec2(10, 5), 1.0)]
+        with pytest.raises(ValueError, match="distinct"):
+            optimize_order(missions, cfg)
+        with pytest.raises(ValueError, match="distinct"):
+            order_averages(missions, cfg)
 
     def test_efficiency_gain_zero_without_conflicts(self, parallel_pair, cfg):
         search = optimize_order(parallel_pair, cfg)

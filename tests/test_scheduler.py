@@ -22,10 +22,13 @@ def depart_after(spans):
     earlier = [f"e{i}" for i in range(len(spans))]
     missions = [Mission(mid, Vec2(0.0, 0.0), Vec2(1.0, 0.0), 1.0)
                 for mid in earlier + ["x"]]
-    table = {(a, b): ForbiddenInterval.empty() for a in earlier for b in earlier}
-    table.update({(mid, "x"): ForbiddenInterval.bounded(lo, hi)
-                  for mid, (lo, hi) in zip(earlier, spans)})
-    schedule = greedy_schedule(missions, SeparationConfig(h=1.5), pair_intervals=table)
+
+    def stub(first, second, _cfg):
+        if second.id != "x":
+            return ForbiddenInterval.empty()
+        return ForbiddenInterval.bounded(*spans[earlier.index(first.id)])
+
+    schedule = greedy_schedule(missions, SeparationConfig(h=1.5), pair_solver=stub)
     assert schedule.departures[:-1] == (0.0,) * len(earlier)
     return schedule.departures[-1], schedule.bindings[-1]
 
