@@ -21,10 +21,9 @@ from .geo import GeoPoint, haversine_m, minutes_to_seconds, mph_to_mps, project,
 from .kinematics import (ForbiddenInterval, IntervalKind, Mission,
                          RelativeState, SeparationConfig, Vec2, cpa_time,
                          forbidden_interval, min_separation_sq, relative_state)
-from .optimizer import (OrderResult, SearchResult, average_delay,
-                        optimize_order, per_order_table)
-from .scenario import (AirspaceConfig, DelaySample, MonteCarloResult,
-                       generate_topology, run_monte_carlo)
+from .optimizer import SearchResult, optimize_order, per_order_table
+from .scenario import (AirspaceConfig, MonteCarloResult, generate_topology,
+                       run_monte_carlo)
 from .scheduler import Schedule, greedy_schedule
 from .statfit import (DistributionFamily, FitResult, Histogram, fit,
                       fit_report, make_histogram, pdf, select_best)

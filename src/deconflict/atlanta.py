@@ -47,7 +47,7 @@ def case_study(h: float, cap: int = 9) -> dict:
             "routes": [ROUTES[mid] for mid in best.order],
             "departures_min": {
                 mid: seconds_to_minutes(dep)
-                for mid, dep in best.schedule.entries
+                for mid, dep in zip(best.order, best.departures)
             },
             "total_delay_min": seconds_to_minutes(best.total_delay),
             "average_delay_min": seconds_to_minutes(best.average_delay),

@@ -31,7 +31,7 @@ EXIT_INTERNAL = 4
 def _load(args):
     sf = read_scenario(args.scenario)
     missions = to_missions(sf)
-    h = args.h if getattr(args, "h", None) is not None else sf.separation_h
+    h = args.h if args.h is not None else sf.separation_h
     return missions, SeparationConfig(h=h)
 
 
@@ -80,7 +80,8 @@ def cmd_schedule(args) -> int:
     missions, cfg = _load(args)
     schedule = greedy_schedule(missions, cfg)
     print(f"greedy schedule in file order (h = {cfg.h} m):")
-    for (mid, dep), bound in zip(schedule.entries, schedule.bindings):
+    for mid, dep, bound in zip(schedule.order, schedule.departures,
+                               schedule.bindings):
         note = f"  constrained by {', '.join(bound)}" if bound else ""
         print(f"  {mid}: departs {dep:.6f} s{note}")
     print(f"total delay: {schedule.total_delay:.6f} s")
@@ -89,9 +90,9 @@ def cmd_schedule(args) -> int:
         _write_json(out / "schedule.json", {
             "h_m": cfg.h,
             "order": list(schedule.order),
-            "departures_s": {mid: dep for mid, dep in schedule.entries},
+            "departures_s": dict(zip(schedule.order, schedule.departures)),
             "bindings": {mid: list(b)
-                         for (mid, _), b in zip(schedule.entries, schedule.bindings)},
+                         for mid, b in zip(schedule.order, schedule.bindings)},
             "total_delay_s": schedule.total_delay,
         })
         print(f"wrote {out / 'schedule.json'}")
@@ -104,7 +105,7 @@ def cmd_optimize(args) -> int:
     best = search.best
     print(f"evaluated {len(search.results)} orders (h = {cfg.h} m)")
     print(f"optimal order: {' > '.join(best.order)}")
-    for mid, dep in best.schedule.entries:
+    for mid, dep in zip(best.order, best.departures):
         print(f"  {mid}: departs {dep:.6f} s")
     print(f"total delay: {best.total_delay:.6f} s")
     print(f"average delay: {best.average_delay:.6f} s")
@@ -121,7 +122,7 @@ def cmd_optimize(args) -> int:
             "h_m": cfg.h,
             "orders_evaluated": len(search.results),
             "best_order": list(best.order),
-            "departures_s": {mid: dep for mid, dep in best.schedule.entries},
+            "departures_s": dict(zip(best.order, best.departures)),
             "total_delay_s": best.total_delay,
             "average_delay_s": best.average_delay,
             "worst_order": list(search.worst.order),
@@ -134,28 +135,29 @@ def cmd_optimize(args) -> int:
 
 
 def _samples_csv(result) -> str:
-    pooled = result.mode == "pooled"
-    if pooled:
-        lines = ["n_agents,topology_index,order_rank,average_delay_s"]
-        lines += [f"{s.n_agents},{s.topology_index},{s.order_rank},{s.average_delay!r}"
-                  for s in result.samples]
-    else:
+    n = result.n_agents
+    topologies = result.topology_index.tolist()
+    delays = result.delays.tolist()
+    if result.order_rank is None:
         lines = ["n_agents,topology_index,average_delay_s"]
-        lines += [f"{s.n_agents},{s.topology_index},{s.average_delay!r}"
-                  for s in result.samples]
+        lines += [f"{n},{k},{d!r}" for k, d in zip(topologies, delays)]
+    else:
+        lines = ["n_agents,topology_index,order_rank,average_delay_s"]
+        lines += [f"{n},{k},{r},{d!r}"
+                  for k, r, d in zip(topologies, result.order_rank.tolist(), delays)]
     return "\n".join(lines) + "\n"
 
 
 def cmd_montecarlo(args) -> int:
     result = run_monte_carlo(args.n_agents, args.topologies, args.seed,
                              mode=args.mode, h=args.h, workers=args.workers)
-    if not result.samples:
+    delays = result.delays
+    if not delays.size:
         raise TopologyRejectionExhausted(
             f"all {args.topologies} topologies rejected: no {args.n_agents}-agent "
             f"topology with vertiport spacing {args.h} m was drawn")
-    print(f"{len(result.samples)} samples from {args.topologies} topologies "
+    print(f"{delays.size} samples from {args.topologies} topologies "
           f"({len(result.rejected_topologies)} rejected), mode={result.mode}")
-    delays = result.delays
     print(f"mean average delay: {float(delays.mean()):.4f} s, "
           f"std: {float(delays.std()):.4f} s")
     out = _outdir(args)
@@ -227,9 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conflict-free departure scheduling for planar constant-velocity flights")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", required=True, help="scenario JSON path")
+    def add_common(p):
+        p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--h", type=float, default=None,
                        help="separation radius in meters (overrides the scenario)")
         p.add_argument("--out", default=None, help="output directory")

@@ -3,6 +3,8 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import TooManyAgents
 from .kinematics import SeparationConfig, forbidden_interval
 from .scheduler import Schedule, build_schedules, order_tree, pair_arrays, total_of
@@ -17,15 +19,6 @@ TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class OrderResult:
-    """Greedy schedule of one flight order plus its delay metrics."""
-    order: tuple[str, ...]
-    schedule: Schedule
-    total_delay: float
-    average_delay: float
-
-
-@dataclass(frozen=True)
 class SearchResult:
     """Outcome of the exhaustive order search.
 
@@ -34,9 +27,9 @@ class SearchResult:
     order); optimal_orders lists all orders tying the minimum within
     numerical slack.
     """
-    best: OrderResult
-    worst: OrderResult
-    results: tuple[OrderResult, ...]
+    best: Schedule
+    worst: Schedule
+    results: tuple[Schedule, ...]
     optimal_orders: tuple[tuple[str, ...], ...]
 
     @property
@@ -45,14 +38,6 @@ class SearchResult:
         if self.worst.total_delay <= 0.0:
             return 0.0
         return 1.0 - self.best.total_delay / self.worst.total_delay
-
-
-def average_delay(schedule: Schedule) -> float:
-    """Arithmetic mean of the departure times."""
-    deps = schedule.departures
-    if not deps:
-        raise ValueError("schedule is empty")
-    return total_of(deps) / len(deps)
 
 
 def _sorted_tree(missions, cfg, cap, pair_solver):
@@ -72,41 +57,35 @@ def _sorted_tree(missions, cfg, cap, pair_solver):
 
 
 def order_averages(missions, cfg: SeparationConfig,
-                   cap: int = DEFAULT_ORDER_CAP,
-                   pair_solver=forbidden_interval) -> list[float]:
+                   cap: int = DEFAULT_ORDER_CAP) -> np.ndarray:
     """Average delay of every order, as in per_order_table, without its objects."""
-    ids, (_, deps, _) = _sorted_tree(missions, cfg, cap, pair_solver)
-    return (total_of(deps.T) / len(ids)).tolist()
+    ids, (_, deps, _) = _sorted_tree(missions, cfg, cap, forbidden_interval)
+    return total_of(deps.T) / len(ids)
 
 
 def per_order_table(missions, cfg: SeparationConfig,
                     cap: int = DEFAULT_ORDER_CAP,
-                    pair_solver=forbidden_interval) -> tuple[OrderResult, ...]:
+                    pair_solver=forbidden_interval) -> list[Schedule]:
     """Evaluate every permutation; output in lexicographic order of mission ids."""
-    ids, (orders, deps, masks) = _sorted_tree(missions, cfg, cap, pair_solver)
-    n = len(ids)
-    return tuple(OrderResult(order=s.order, schedule=s, total_delay=total,
-                             average_delay=total / n)
-                 for s, total in zip(build_schedules(ids, orders, deps, masks),
-                                     total_of(deps.T).tolist()))
+    ids, tree = _sorted_tree(missions, cfg, cap, pair_solver)
+    return build_schedules(ids, *tree)
 
 
 def optimize_order(missions, cfg: SeparationConfig,
-                   cap: int = DEFAULT_ORDER_CAP,
-                   pair_solver=forbidden_interval) -> SearchResult:
+                   cap: int = DEFAULT_ORDER_CAP) -> SearchResult:
     """Pick the flight order with minimal total delay by full enumeration."""
-    results = per_order_table(missions, cfg, cap, pair_solver)
-    best = results[0]
-    worst = results[0]
-    for r in results[1:]:
+    results = tuple(per_order_table(missions, cfg, cap))
+    totals = [s.total_delay for s in results]
+    best = worst = 0
+    for r, total in enumerate(totals):
         # totals within TIE_TOL are ties; keeping the incumbent realizes the
         # lexicographically-smallest-order tie-break (enumeration is lex)
-        if r.total_delay < best.total_delay - TIE_TOL * (1.0 + abs(best.total_delay)):
+        if total < totals[best] - TIE_TOL * (1.0 + abs(totals[best])):
             best = r
-        if r.total_delay > worst.total_delay + TIE_TOL * (1.0 + abs(worst.total_delay)):
+        if total > totals[worst] + TIE_TOL * (1.0 + abs(totals[worst])):
             worst = r
-    ties = tuple(r.order for r in results
-                 if math.isclose(r.total_delay, best.total_delay,
+    ties = tuple(s.order for s, total in zip(results, totals)
+                 if math.isclose(total, totals[best],
                                  rel_tol=TIE_TOL, abs_tol=TIE_TOL))
-    return SearchResult(best=best, worst=worst, results=results,
-                        optimal_orders=ties)
+    return SearchResult(best=results[best], worst=results[worst],
+                        results=results, optimal_orders=ties)

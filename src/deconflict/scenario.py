@@ -64,25 +64,26 @@ class AirspaceConfig:
 
 
 @dataclass(frozen=True)
-class DelaySample:
-    """One Monte Carlo observation of average departure delay."""
-    n_agents: int
-    topology_index: int
-    average_delay: float
-    order_rank: int | None = None
-
-
-@dataclass(frozen=True)
 class MonteCarloResult:
-    samples: tuple[DelaySample, ...]
+    """Monte Carlo samples as columns, one entry per sample.
+
+    Sample i is the average departure delay delays[i] of one flight order
+    of topology topology_index[i]. In pooled mode order_rank[i] is that
+    order's position in the lexicographic permutation table; in optimal
+    mode each topology gives its best order only and order_rank is None.
+    """
+    delays: np.ndarray
+    topology_index: np.ndarray
+    order_rank: np.ndarray | None
     rejected_topologies: tuple[int, ...]
     n_agents: int
     mode: str
     base_seed: int
 
     @property
-    def delays(self) -> np.ndarray:
-        return np.array([s.average_delay for s in self.samples])
+    def samples(self) -> np.ndarray:
+        """The delays column; kept because perfbench/workloads.py calls len(r.samples)."""
+        return self.delays
 
 
 def _perimeter_point(side: float, u: float) -> Vec2:
@@ -157,7 +158,7 @@ def _topology_delays(cfg: AirspaceConfig, mode: str, cap: int):
         return None
     averages = order_averages(missions, SeparationConfig(h=cfg.h), cap=cap)
     if mode == "optimal":
-        return [min(averages)]
+        return averages.min(keepdims=True)
     return averages
 
 
@@ -195,21 +196,21 @@ def run_monte_carlo(n_agents: int, n_topologies: int, base_seed: int,
     else:
         raw = [_mc_worker(j) for j in jobs]
 
-    samples: list[DelaySample] = []
+    kept: list[int] = []
+    columns: list[np.ndarray] = []
     rejected: list[int] = []
     for k, delays in sorted(raw):
         if delays is None:
             log.warning("topology %d rejected (seed %d)", k, base_seed ^ k)
             rejected.append(k)
-            continue
-        if mode == "optimal":
-            samples.append(DelaySample(n_agents=n_agents, topology_index=k,
-                                       average_delay=delays[0]))
         else:
-            samples.extend(
-                DelaySample(n_agents=n_agents, topology_index=k,
-                            average_delay=d, order_rank=r)
-                for r, d in enumerate(delays))
-    return MonteCarloResult(samples=tuple(samples),
-                            rejected_topologies=tuple(rejected),
-                            n_agents=n_agents, mode=mode, base_seed=base_seed)
+            kept.append(k)
+            columns.append(delays)
+    per_topology = len(columns[0]) if columns else 0  # N!, or 1 when optimal
+    return MonteCarloResult(
+        delays=np.concatenate(columns) if columns else np.empty(0),
+        topology_index=np.repeat(np.array(kept, dtype=int), per_topology),
+        order_rank=(None if mode == "optimal"
+                    else np.tile(np.arange(per_topology), len(kept))),
+        rejected_topologies=tuple(rejected),
+        n_agents=n_agents, mode=mode, base_seed=base_seed)

@@ -40,27 +40,24 @@ def total_of(departures):
 class Schedule:
     """Departure times for one flight order.
 
-    entries pair each mission id with its departure (seconds, >= 0), in
-    order. bindings[i] lists the earlier mission ids whose forbidden span
-    edges the i-th departure sits on (its active constraints).
+    departures[i] is the departure (seconds, >= 0) of mission order[i].
+    bindings[i] lists the earlier mission ids whose forbidden span edges
+    the i-th departure sits on (its active constraints).
     """
-    entries: tuple[tuple[str, float], ...]
     order: tuple[str, ...]
+    departures: tuple[float, ...]
     bindings: tuple[tuple[str, ...], ...]
-
-    @property
-    def departures(self) -> tuple[float, ...]:
-        return tuple(dep for _, dep in self.entries)
-
-    def departure_of(self, mission_id: str) -> float:
-        for mid, dep in self.entries:
-            if mid == mission_id:
-                return dep
-        raise KeyError(mission_id)
 
     @property
     def total_delay(self) -> float:
         return total_of(self.departures)
+
+    @property
+    def average_delay(self) -> float:
+        """Arithmetic mean of the departure times."""
+        if not self.departures:
+            raise ValueError("schedule is empty")
+        return self.total_delay / len(self.departures)
 
 
 def pair_arrays(missions, cfg: SeparationConfig, pair_solver=forbidden_interval):
@@ -148,24 +145,22 @@ def build_schedules(ids, orders, deps, masks) -> list[Schedule]:
     """Schedule objects for the rows of an order_tree-shaped result.
 
     The rows below one node of the permutation tree share that node's
-    (id, departure) entry and binding tuple. Each is made once per node and
+    departure float and binding tuple. Each is made once per node and
     repeated lazily into the rows, and each mask is turned into Python
     objects one position at a time.
     """
     n_rows = len(orders)
     if not masks:
-        return [Schedule(entries=(), order=(), bindings=())] * n_rows
+        return [Schedule(order=(), departures=(), bindings=())] * n_rows
     id_rows = list(map(tuple, np.array(ids, dtype=object)[orders].tolist()))
-    entry_cols, binding_cols = [], []
+    dep_cols, binding_cols = [], []
     for p, mask in enumerate(masks):
         step = n_rows // len(mask)
-        nodes = id_rows[::step]
-        entries = zip(map(operator.itemgetter(p), nodes), deps[::step, p].tolist())
-        bound = list(map(tuple, map(compress, nodes, mask.tolist())))
-        entry_cols.append(_spread(entries, step))
+        bound = list(map(tuple, map(compress, id_rows[::step], mask.tolist())))
+        dep_cols.append(_spread(deps[::step, p].tolist(), step))
         binding_cols.append(_spread(bound, step))
-    return [Schedule(entries=e, order=o, bindings=b)
-            for o, e, b in zip(id_rows, zip(*entry_cols), zip(*binding_cols))]
+    return [Schedule(order=o, departures=d, bindings=b)
+            for o, d, b in zip(id_rows, zip(*dep_cols), zip(*binding_cols))]
 
 
 def greedy_schedule(order, cfg: SeparationConfig,

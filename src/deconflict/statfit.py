@@ -240,21 +240,18 @@ def select_best(samples, families=ALL_FAMILIES, bins: int = DEFAULT_BINS) -> Fit
     return _least_ssr([fit(samples, fam, bins) for fam in families])
 
 
-def fit_report(samples, families=ALL_FAMILIES, bins: int = DEFAULT_BINS,
-               exclude_nonpositive: bool = True) -> dict:
+def fit_report(samples, families=ALL_FAMILIES, bins: int = DEFAULT_BINS) -> dict:
     """JSON-ready report: all fits, the selection, and plot-ready curves.
 
     Zero delays are a legitimate outcome (a schedule with no binding
     conflicts), but half the candidate families have positive support. So
     that every family is scored against the same histogram, nonpositive
-    samples are dropped first (count disclosed in the report); pass
-    exclude_nonpositive=False to score on the raw samples instead, which
-    propagates the positive-support domain error when zeros are present.
+    samples are dropped first; n_excluded_nonpositive in the report counts
+    them.
     """
     x = np.asarray(samples, dtype=np.float64)
     n_raw = int(x.size)
-    if exclude_nonpositive:
-        x = x[x > 0.0]
+    x = x[x > 0.0]
     hist = make_histogram(x, bins)
     fits = [fit(x, fam, bins) for fam in families]
     best = _least_ssr(fits)

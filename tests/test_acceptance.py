@@ -68,9 +68,8 @@ def test_ac1_oracle_safety(safety_sweep):
     worst = math.inf
     checked = 0
     for missions, identity, best in safety_sweep:
-        for order, schedule in ((identity.order, identity),
-                                (best.order, best.schedule)):
-            ms = _ordered(missions, order)
+        for schedule in (identity, best):
+            ms = _ordered(missions, schedule.order)
             seps = oracle.schedule_pair_min_seps(ms, schedule.departures, dt=0.01)
             worst = min(worst, float(seps.min()))
             checked += len(seps)
@@ -144,11 +143,10 @@ def test_ac3_binding_constraints_are_tangent(safety_sweep):
     lo_seen, hi_seen = math.inf, -math.inf
     checked = 0
     for missions, identity, best in safety_sweep:
-        for order, schedule in ((identity.order, identity),
-                                (best.order, best.schedule)):
-            ms = _ordered(missions, order)
+        for schedule in (identity, best):
+            ms = _ordered(missions, schedule.order)
             deps = schedule.departures
-            pos = {mid: k for k, mid in enumerate(order)}
+            pos = {mid: k for k, mid in enumerate(schedule.order)}
             for j, bound in enumerate(schedule.bindings):
                 for mid in bound:
                     i = pos[mid]

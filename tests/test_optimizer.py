@@ -8,8 +8,7 @@ from deconflict import atlanta, oracle
 from deconflict.errors import TooManyAgents
 from deconflict.kinematics import (ForbiddenInterval, Mission, SeparationConfig,
                                    Vec2, forbidden_interval)
-from deconflict.optimizer import (average_delay, optimize_order,
-                                  order_averages, per_order_table)
+from deconflict.optimizer import optimize_order, order_averages, per_order_table
 from deconflict.scenario import AirspaceConfig, generate_topology, run_monte_carlo
 from deconflict.scheduler import Schedule, greedy_schedule
 from helpers import random_instance, reference_order_table
@@ -19,27 +18,27 @@ ROOT2 = math.sqrt(2.0)
 
 def make_schedule(departures, ids=None):
     ids = ids or [f"m{i}" for i in range(len(departures))]
-    return Schedule(entries=tuple(zip(ids, departures)), order=tuple(ids),
+    return Schedule(order=tuple(ids), departures=tuple(departures),
                     bindings=tuple(() for _ in ids))
 
 
 class TestAverageDelay:
     def test_all_zero(self):
-        assert average_delay(make_schedule([0.0, 0.0, 0.0])) == 0.0
+        assert make_schedule([0.0, 0.0, 0.0]).average_delay == 0.0
 
     def test_crossing_pair_value(self):
-        assert average_delay(make_schedule([0.0, 2.12132])) == pytest.approx(1.06066)
+        assert make_schedule([0.0, 2.12132]).average_delay == pytest.approx(1.06066)
 
     def test_case_study_minutes(self):
         # reference schedule rounded to 0.1 min: mean is 5.175, within
         # display rounding of the exact 5.1692 reference average
-        avg = average_delay(make_schedule([0.0, 5.2, 5.2, 10.3]))
+        avg = make_schedule([0.0, 5.2, 5.2, 10.3]).average_delay
         assert avg == pytest.approx(5.175)
         assert abs(avg - 5.1692) < 0.03
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            average_delay(make_schedule([]))
+            make_schedule([]).average_delay
 
 
 class TestPerOrderTable:
@@ -90,7 +89,7 @@ class TestOptimizeOrder:
         missions = random_instance(np.random.default_rng(21), 5)
         search = optimize_order(missions, cfg)
         for r in search.results:
-            assert abs(r.total_delay - sum(r.schedule.departures)) <= 1e-9
+            assert abs(r.total_delay - sum(r.departures)) <= 1e-9
 
     def test_optimum_dominates_identity_order(self, cfg):
         rng = np.random.default_rng(31)
@@ -129,7 +128,7 @@ class TestOptimizeOrder:
             best = optimize_order(missions, cfg).best
             missions_by_id = {m.id: m for m in missions}
             ordered = [missions_by_id[mid] for mid in best.order]
-            assert oracle.schedule_is_safe(ordered, best.schedule.departures,
+            assert oracle.schedule_is_safe(ordered, best.departures,
                                            cfg.h, 0.001)
 
     def test_ties_include_best(self, cfg):
@@ -157,8 +156,8 @@ class TestOptimizeOrder:
 
 
 def table_rows(table):
-    return [(r.order, r.schedule.departures, r.schedule.bindings,
-             r.total_delay, r.average_delay) for r in table]
+    return [(r.order, r.departures, r.bindings, r.total_delay, r.average_delay)
+            for r in table]
 
 
 def test_order_table_matches_reference_sweep():
@@ -173,16 +172,15 @@ def test_order_table_matches_reference_sweep():
         table = per_order_table(missions, cfg)
         rows = reference_order_table(missions, cfg, forbidden_interval)
         assert table_rows(table) == rows
-        assert all(r.schedule.order == r.order and
-                   r.schedule.entries == tuple(zip(r.order, r.schedule.departures))
-                   for r in table)
+        # departures are Python floats, as the scalar sweep makes them
+        assert all(type(d) is float for r in table for d in r.departures)
         bound_seen += sum(1 for r in rows for b in r[2] if b)
         # a single order placed on its own takes the same step
         schedule = greedy_schedule(missions, cfg)
         by_id = {r[0]: r for r in rows}
         ref = by_id[tuple(m.id for m in missions)]
         assert (schedule.departures, schedule.bindings) == ref[1:3]
-        assert schedule.entries == tuple(zip(ref[0], ref[1]))
+        assert schedule.order == ref[0]
         assert schedule.total_delay == ref[3]
     assert bound_seen > 0
     # Monte Carlo reads the same averages off the totals array, bit for bit
@@ -190,12 +188,12 @@ def test_order_table_matches_reference_sweep():
         table = per_order_table(
             generate_topology(AirspaceConfig(n_agents=n, seed=seed)),
             SeparationConfig(h=1.5))
-        averages = [average_delay(r.schedule) for r in table]
+        averages = [r.average_delay for r in table]
         pooled = run_monte_carlo(n_agents=n, n_topologies=1, base_seed=seed)
-        assert [s.average_delay for s in pooled.samples] == averages
+        assert pooled.delays.tolist() == averages
         optimal = run_monte_carlo(n_agents=n, n_topologies=1, base_seed=seed,
                                   mode="optimal")
-        assert [s.average_delay for s in optimal.samples] == [min(averages)]
+        assert optimal.delays.tolist() == [min(averages)]
 
 
 class TestArrayPlacementEdges:
@@ -223,41 +221,41 @@ class TestArrayPlacementEdges:
     def test_single_agent(self):
         (row,) = self.table(1, {})
         assert row.order == ("a",)
-        assert row.schedule.departures == (0.0,)
-        assert row.schedule.bindings == ((),)
+        assert row.departures == (0.0,)
+        assert row.bindings == ((),)
         assert (row.total_delay, row.average_delay) == (0.0, 0.0)
 
     def test_all_empty_spans(self):
         table = self.table(4, {})
         assert len(table) == 24
         for r in table:
-            assert r.schedule.departures == (0.0,) * 4
-            assert r.schedule.bindings == ((),) * 4
+            assert r.departures == (0.0,) * 4
+            assert r.bindings == ((),) * 4
             assert r.total_delay == 0.0
 
     def test_touching_spans_leave_their_shared_end_free(self):
         # c is pushed to 4 by b's span; a's span opens there and stays open
         first = self.table(3, {("a", "c"): (4.0, 9.0), ("b", "c"): (-1.0, 4.0)})[0]
-        assert first.schedule.departures == (0.0, 0.0, 4.0)
-        assert first.schedule.bindings == ((), (), ("b",))
+        assert first.departures == (0.0, 0.0, 4.0)
+        assert first.bindings == ((), (), ("b",))
 
     def test_span_starting_at_zero_leaves_zero_free(self):
         first, second = self.table(2, {("a", "b"): (0.0, 4.0)})
-        assert first.schedule.departures == (0.0, 0.0)
-        assert first.schedule.bindings == ((), ())
+        assert first.departures == (0.0, 0.0)
+        assert first.bindings == ((), ())
         # reversed, the mirrored span (-4, 0) also leaves 0 free
         assert second.order == ("b", "a")
-        assert second.schedule.departures == (0.0, 0.0)
+        assert second.departures == (0.0, 0.0)
 
     def test_nested_span_does_not_pull_time_back(self):
         first = self.table(3, {("a", "c"): (-1.0, 10.0), ("b", "c"): (2.0, 5.0)})[0]
-        assert first.schedule.departures == (0.0, 0.0, 10.0)
-        assert first.schedule.bindings == ((), (), ("a",))
+        assert first.departures == (0.0, 0.0, 10.0)
+        assert first.bindings == ((), (), ("a",))
 
     def test_chain_needs_every_move_at_the_last_level(self):
         # d must step over all three spans one after another: 0 -> 1 -> 2 -> 3
         first = self.table(4, {("a", "d"): (-1.0, 1.0), ("b", "d"): (0.5, 2.0),
                                ("c", "d"): (1.5, 3.0)})[0]
-        assert first.schedule.departures == (0.0, 0.0, 0.0, 3.0)
-        assert first.schedule.bindings == ((), (), (), ("c",))
+        assert first.departures == (0.0, 0.0, 0.0, 3.0)
+        assert first.bindings == ((), (), (), ("c",))
         assert first.total_delay == 3.0

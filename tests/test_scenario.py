@@ -78,27 +78,32 @@ class TestGenerateTopology:
 class TestRunMonteCarlo:
     def test_optimal_mode_matches_direct_optimization(self):
         result = run_monte_carlo(4, 1, base_seed=42, mode="optimal")
-        assert len(result.samples) == 1
+        assert len(result.delays) == 1
         missions = generate_topology(AirspaceConfig(n_agents=4, seed=42 ^ 0))
         direct = optimize_order(missions, SeparationConfig(h=1.5))
-        assert result.samples[0].average_delay == \
+        assert result.delays[0] == \
             pytest.approx(direct.best.average_delay, abs=1e-9)
 
     def test_pooled_mode_counts(self):
         result = run_monte_carlo(3, 4, base_seed=9, mode="pooled")
-        assert len(result.samples) == 4 * 6
-        ranks = {s.order_rank for s in result.samples}
-        assert ranks == set(range(6))
+        assert len(result.delays) == 4 * 6
+        assert result.topology_index.tolist() == [k for k in range(4) for _ in range(6)]
+        assert result.order_rank.tolist() == list(range(6)) * 4
 
     def test_optimal_mode_has_no_rank(self):
         result = run_monte_carlo(3, 2, base_seed=9, mode="optimal")
-        assert all(s.order_rank is None for s in result.samples)
+        assert result.order_rank is None
+        assert result.topology_index.tolist() == [0, 1]
 
     def test_determinism_and_worker_independence(self):
         a = run_monte_carlo(4, 6, base_seed=7, mode="pooled")
         b = run_monte_carlo(4, 6, base_seed=7, mode="pooled")
         c = run_monte_carlo(4, 6, base_seed=7, mode="pooled", workers=2)
-        assert a.samples == b.samples == c.samples
+        for column in ("delays", "topology_index", "order_rank"):
+            x, y, z = (getattr(r, column) for r in (a, b, c))
+            assert x.dtype == y.dtype == z.dtype
+            assert np.array_equal(x, y) and np.array_equal(x, z)
+        assert a.delays.dtype == np.float64
 
     def test_rejections_logged_and_reported(self, monkeypatch, caplog):
         real = scenario.generate_topology
@@ -112,19 +117,39 @@ class TestRunMonteCarlo:
         with caplog.at_level(logging.WARNING, logger="deconflict.scenario"):
             result = run_monte_carlo(3, 3, base_seed=7, mode="optimal")
         assert result.rejected_topologies == (1,)
-        assert len(result.samples) == 2
+        assert len(result.delays) == 2
+        assert result.topology_index.tolist() == [0, 2]
         assert any("rejected" in r.message for r in caplog.records)
+        pooled = run_monte_carlo(3, 3, base_seed=7, mode="pooled")
+        assert pooled.rejected_topologies == (1,)
+        assert pooled.topology_index.tolist() == [0] * 6 + [2] * 6
+        assert pooled.order_rank.tolist() == list(range(6)) * 2
+
+    def test_all_rejected_gives_empty_columns(self, monkeypatch):
+        def reject(cfg):
+            raise TopologyRejectionExhausted("forced")
+
+        monkeypatch.setattr(scenario, "generate_topology", reject)
+        for mode in ("pooled", "optimal"):
+            result = run_monte_carlo(3, 2, base_seed=7, mode=mode)
+            assert result.rejected_topologies == (0, 1)
+            assert result.delays.dtype == np.float64
+            assert result.delays.shape == (0,)
+            assert result.topology_index.shape == (0,)
+            assert result.topology_index.dtype.kind == "i"
+        order_rank = run_monte_carlo(3, 2, base_seed=7).order_rank
+        assert order_rank.shape == (0,) and order_rank.dtype.kind == "i"
 
     def test_samples_nonnegative_and_schedules_safe(self):
         result = run_monte_carlo(4, 10, base_seed=31, mode="optimal")
-        assert all(s.average_delay >= 0.0 for s in result.samples)
+        assert (result.delays >= 0.0).all()
         # spot-check the underlying optimal schedules against the oracle
         for k in (0, 5, 9):
             missions = generate_topology(AirspaceConfig(n_agents=4, seed=31 ^ k))
             best = optimize_order(missions, SeparationConfig(h=1.5)).best
             by_id = {m.id: m for m in missions}
             ordered = [by_id[mid] for mid in best.order]
-            assert oracle.schedule_is_safe(ordered, best.schedule.departures,
+            assert oracle.schedule_is_safe(ordered, best.departures,
                                            1.5, 0.01)
 
     def test_mode_validation(self):

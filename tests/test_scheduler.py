@@ -125,7 +125,7 @@ class TestGreedySchedule:
 
     def test_empty_order_gives_empty_schedule(self, cfg):
         schedule = greedy_schedule([], cfg)
-        assert (schedule.entries, schedule.order, schedule.bindings) == ((), (), ())
+        assert (schedule.order, schedule.departures, schedule.bindings) == ((), (), ())
         assert schedule.total_delay == 0.0
 
     def test_duplicate_ids_rejected(self, cfg):
@@ -144,8 +144,8 @@ class TestGreedySchedule:
 
     def test_schedule_accessors(self, crossing_pair, cfg):
         schedule = greedy_schedule(crossing_pair, cfg)
-        assert schedule.departure_of("a") == 0.0
+        assert schedule.order == ("a", "b")
+        assert schedule.departures[0] == 0.0
         assert schedule.total_delay == pytest.approx(sum(schedule.departures))
-        with pytest.raises(KeyError):
-            schedule.departure_of("zz")
+        assert schedule.average_delay == schedule.total_delay / 2
 
