@@ -41,7 +41,7 @@ def case_study(h: float, cap: int = 9) -> dict:
     best = search.best
     return {
         "h_m": h,
-        "orders_evaluated": len(search.results),
+        "orders_evaluated": len(search.totals),
         "best": {
             "order": list(best.order),
             "routes": [ROUTES[mid] for mid in best.order],

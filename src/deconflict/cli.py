@@ -103,7 +103,7 @@ def cmd_optimize(args) -> int:
     missions, cfg = _load(args)
     search = optimize_order(missions, cfg)
     best = search.best
-    print(f"evaluated {len(search.results)} orders (h = {cfg.h} m)")
+    print(f"evaluated {len(search.totals)} orders (h = {cfg.h} m)")
     print(f"optimal order: {' > '.join(best.order)}")
     for mid, dep in zip(best.order, best.departures):
         print(f"  {mid}: departs {dep:.6f} s")
@@ -115,12 +115,13 @@ def cmd_optimize(args) -> int:
     out = _outdir(args)
     if out is not None:
         lines = ["order,total_delay_s,average_delay_s"]
-        lines += [f"{'>'.join(r.order)},{r.total_delay!r},{r.average_delay!r}"
-                  for r in search.results]
+        n = len(search.ids)
+        lines += [f"{'>'.join(search.ids[i] for i in row)},{total!r},{total / n!r}"
+                  for row, total in zip(search.orders.tolist(), search.totals.tolist())]
         (out / "orders.csv").write_text("\n".join(lines) + "\n")
         _write_json(out / "optimize.json", {
             "h_m": cfg.h,
-            "orders_evaluated": len(search.results),
+            "orders_evaluated": len(search.totals),
             "best_order": list(best.order),
             "departures_s": dict(zip(best.order, best.departures)),
             "total_delay_s": best.total_delay,

@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import TooManyAgents
 from .kinematics import SeparationConfig, forbidden_interval
-from .scheduler import Schedule, build_schedules, order_tree, pair_arrays, total_of
+from .scheduler import Schedule, order_tree, pair_arrays, schedules, total_of
 # unused here, but perfbench/spans.py patches optimizer.greedy_schedule
 from .scheduler import greedy_schedule  # noqa: F401
 
@@ -22,14 +22,17 @@ TIE_TOL = 1e-9
 class SearchResult:
     """Outcome of the exhaustive order search.
 
-    results holds every order in lexicographic id order; best/worst minimize
-    and maximize total delay (ties broken by lexicographically smallest
-    order); optimal_orders lists all orders tying the minimum within
-    numerical slack.
+    ids are the mission ids in sorted order. Row r of orders (n!, n) indexes
+    them with one flight order, rows in lexicographic order, and totals[r]
+    is that order's total delay. best/worst minimize and maximize total
+    delay (ties broken by lexicographically smallest order); optimal_orders
+    lists all orders tying the minimum within numerical slack.
     """
     best: Schedule
     worst: Schedule
-    results: tuple[Schedule, ...]
+    ids: tuple[str, ...]
+    orders: np.ndarray
+    totals: np.ndarray
     optimal_orders: tuple[tuple[str, ...], ...]
 
     @property
@@ -41,7 +44,7 @@ class SearchResult:
 
 
 def _sorted_tree(missions, cfg, cap, pair_solver):
-    """Mission ids in sorted order and order_tree over those missions.
+    """Sorted mission ids, their hi span array, and order_tree over them.
 
     Pairwise forbidden spans depend only on the mission set, so they are
     computed once and shared across all orders.
@@ -53,13 +56,14 @@ def _sorted_tree(missions, cfg, cap, pair_solver):
     if n > cap:
         raise TooManyAgents(f"{n} agents exceeds the {cap}-agent enumeration cap "
                             f"({math.factorial(cap)} orders)")
-    return [m.id for m in missions], order_tree(*pair_arrays(missions, cfg, pair_solver))
+    lo, hi = pair_arrays(missions, cfg, pair_solver)
+    return (tuple(m.id for m in missions), hi, *order_tree(lo, hi))
 
 
 def order_averages(missions, cfg: SeparationConfig,
                    cap: int = DEFAULT_ORDER_CAP) -> np.ndarray:
     """Average delay of every order, as in per_order_table, without its objects."""
-    ids, (_, deps, _) = _sorted_tree(missions, cfg, cap, forbidden_interval)
+    ids, _, _, deps = _sorted_tree(missions, cfg, cap, forbidden_interval)
     return total_of(deps.T) / len(ids)
 
 
@@ -67,25 +71,28 @@ def per_order_table(missions, cfg: SeparationConfig,
                     cap: int = DEFAULT_ORDER_CAP,
                     pair_solver=forbidden_interval) -> list[Schedule]:
     """Evaluate every permutation; output in lexicographic order of mission ids."""
-    ids, tree = _sorted_tree(missions, cfg, cap, pair_solver)
-    return build_schedules(ids, *tree)
+    return schedules(*_sorted_tree(missions, cfg, cap, pair_solver))
 
 
 def optimize_order(missions, cfg: SeparationConfig,
                    cap: int = DEFAULT_ORDER_CAP) -> SearchResult:
     """Pick the flight order with minimal total delay by full enumeration."""
-    results = tuple(per_order_table(missions, cfg, cap))
-    totals = [s.total_delay for s in results]
+    ids, hi, orders, deps = _sorted_tree(missions, cfg, cap, forbidden_interval)
+    totals = total_of(deps.T)
+    scan = totals.tolist()
     best = worst = 0
-    for r, total in enumerate(totals):
+    for r, total in enumerate(scan):
         # totals within TIE_TOL are ties; keeping the incumbent realizes the
         # lexicographically-smallest-order tie-break (enumeration is lex)
-        if total < totals[best] - TIE_TOL * (1.0 + abs(totals[best])):
+        if total < scan[best] - TIE_TOL * (1.0 + abs(scan[best])):
             best = r
-        if total > totals[worst] + TIE_TOL * (1.0 + abs(totals[worst])):
+        if total > scan[worst] + TIE_TOL * (1.0 + abs(scan[worst])):
             worst = r
-    ties = tuple(s.order for s, total in zip(results, totals)
-                 if math.isclose(total, totals[best],
-                                 rel_tol=TIE_TOL, abs_tol=TIE_TOL))
-    return SearchResult(best=results[best], worst=results[worst],
-                        results=results, optimal_orders=ties)
+    tied = [r for r, total in enumerate(scan)
+            if math.isclose(total, scan[best], rel_tol=TIE_TOL, abs_tol=TIE_TOL)]
+    best_schedule, worst_schedule = schedules(ids, hi, orders[[best, worst]],
+                                              deps[[best, worst]])
+    return SearchResult(best=best_schedule, worst=worst_schedule, ids=ids,
+                        orders=orders, totals=totals,
+                        optimal_orders=tuple(tuple(ids[i] for i in row)
+                                             for row in orders[tied].tolist()))

@@ -10,13 +10,14 @@ is therefore 0 or the upper end of one of the spans.
 
 One array step places the next agent of many partial orders at once.
 `greedy_schedule` runs it on a single order; `order_tree` runs it once per
-level of the permutation tree to place all N! orders.
+level of the permutation tree to place all N! orders. `schedules` turns
+chosen rows into `Schedule` objects and finds their bindings.
 """
 
 import functools
 import operator
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import compress
 
 import numpy as np
 
@@ -86,14 +87,13 @@ def pair_arrays(missions, cfg: SeparationConfig, pair_solver=forbidden_interval)
 
 
 def place_next(lo, hi, prefix, deps, nxt):
-    """Earliest free departure of agent nxt[r] after the partial order prefix[r].
+    """Earliest free departure t (R,) of agent nxt[r] after the partial order prefix[r].
 
     prefix (R, k) holds agent indices, deps (R, k) their departures. The k
     spans of row r are shifted by the earlier departures. From t = 0, while
     some span has lo < t < hi, t moves to the largest such hi. Every move
     clears the spans it leaves behind, so k moves reach the least free
-    instant. Returns t (R,) and the (R, k) mask of the spans whose upper
-    end t sits on within BINDING_TOL, in prefix order.
+    instant.
     """
     col = nxt[:, None]
     los = lo[prefix, col] + deps
@@ -104,7 +104,7 @@ def place_next(lo, hi, prefix, deps, nxt):
         if not inside.any():
             break
         t = np.maximum(t, np.where(inside, his, -np.inf).max(axis=1))
-    return t, np.abs(t[:, None] - his) <= BINDING_TOL
+    return t
 
 
 def order_tree(lo, hi):
@@ -112,16 +112,13 @@ def order_tree(lo, hi):
 
     The permutation tree is grown one level at a time: each prefix row gets
     one child per remaining agent, in ascending index order, so the last
-    level lists the orders lexicographically. Returns the (n!, n) orders,
-    their (n!, n) departures, and per position p the (n!/(n-p-1)!, p)
-    binding masks of the level that placed it; final row r descends from
-    row r // (n-p-1)! of that level.
+    level lists the orders lexicographically. Returns the (n!, n) orders and
+    their (n!, n) departures.
     """
     n = len(lo)
     prefix = np.empty((1, 0), dtype=np.intp)
     deps = np.empty((1, 0))
     rest = np.arange(n)[None, :]  # agents not yet placed, ascending, per row
-    masks = []
     for k in range(n):
         m = n - k
         nxt = rest.ravel()
@@ -129,38 +126,28 @@ def order_tree(lo, hi):
         rest = rest.reshape(len(nxt), m - 1)
         prefix = np.repeat(prefix, m, axis=0)
         deps = np.repeat(deps, m, axis=0)
-        t, mask = place_next(lo, hi, prefix, deps, nxt)
+        t = place_next(lo, hi, prefix, deps, nxt)
         prefix = np.concatenate((prefix, nxt[:, None]), axis=1)
         deps = np.concatenate((deps, t[:, None]), axis=1)
-        masks.append(mask)
-    return prefix, deps, masks
+    return prefix, deps
 
 
-def _spread(column, step):
-    """Each item of column, step times over, as a lazy iterator."""
-    return chain.from_iterable(map(repeat, column, repeat(step)))
+def schedules(ids, hi, orders, deps) -> list[Schedule]:
+    """Schedule objects for the rows of orders (R, n) and departures (R, n).
 
-
-def build_schedules(ids, orders, deps, masks) -> list[Schedule]:
-    """Schedule objects for the rows of an order_tree-shaped result.
-
-    The rows below one node of the permutation tree share that node's
-    departure float and binding tuple. Each is made once per node and
-    repeated lazily into the rows, and each mask is turned into Python
-    objects one position at a time.
+    orders indexes ids and hi, as pair_arrays built them. Position j is
+    bound to each earlier position i whose span's upper end, shifted by the
+    departure at i, lies within BINDING_TOL of the departure at j. The
+    float operations are those of place_next, so the bindings are the edges
+    the placement stopped on.
     """
-    n_rows = len(orders)
-    if not masks:
-        return [Schedule(order=(), departures=(), bindings=())] * n_rows
     id_rows = list(map(tuple, np.array(ids, dtype=object)[orders].tolist()))
-    dep_cols, binding_cols = [], []
-    for p, mask in enumerate(masks):
-        step = n_rows // len(mask)
-        bound = list(map(tuple, map(compress, id_rows[::step], mask.tolist())))
-        dep_cols.append(_spread(deps[::step, p].tolist(), step))
-        binding_cols.append(_spread(bound, step))
-    return [Schedule(order=o, departures=d, bindings=b)
-            for o, d, b in zip(id_rows, zip(*dep_cols), zip(*binding_cols))]
+    near = [(np.abs(deps[:, j:j + 1] - (hi[orders[:, :j], orders[:, j:j + 1]]
+                                        + deps[:, :j])) <= BINDING_TOL).tolist()
+            for j in range(orders.shape[1])]
+    return [Schedule(order=o, departures=tuple(d),
+                     bindings=tuple(tuple(compress(o, m[r])) for m in near))
+            for r, (o, d) in enumerate(zip(id_rows, deps.tolist()))]
 
 
 def greedy_schedule(order, cfg: SeparationConfig,
@@ -178,9 +165,7 @@ def greedy_schedule(order, cfg: SeparationConfig,
     lo, hi = pair_arrays(missions, cfg, pair_solver)
     row = np.arange(len(ids))[None, :]
     deps = np.empty((1, 0))
-    masks = []
     for k in range(len(ids)):
-        t, mask = place_next(lo, hi, row[:, :k], deps, row[0, k:k + 1])
+        t = place_next(lo, hi, row[:, :k], deps, row[0, k:k + 1])
         deps = np.concatenate((deps, t[:, None]), axis=1)
-        masks.append(mask)
-    return build_schedules(ids, row, deps, masks)[0]
+    return schedules(ids, hi, row, deps)[0]

@@ -4,6 +4,9 @@ import pytest
 
 from deconflict import cli, scenario
 from deconflict.errors import TopologyRejectionExhausted
+from deconflict.kinematics import SeparationConfig
+from deconflict.optimizer import per_order_table
+from deconflict.scenario_io import read_scenario, to_missions
 
 CROSSING = {
     "version": 1,
@@ -97,6 +100,11 @@ def test_optimize_reports_consistent_totals(scenario_path, tmp_path, capsys):
     csv_lines = (out_dir / "orders.csv").read_text().splitlines()
     assert csv_lines[0] == "order,total_delay_s,average_delay_s"
     assert len(csv_lines) == 3
+    # each row prints the repr of the Schedule's own total and average
+    missions = to_missions(read_scenario(scenario_path(CROSSING)))
+    assert csv_lines[1:] == [
+        f"{'>'.join(r.order)},{r.total_delay!r},{r.average_delay!r}"
+        for r in per_order_table(missions, SeparationConfig(h=CROSSING["separation_h"]))]
 
 
 def test_optimize_no_conflict_zero_efficiency(scenario_path, tmp_path):

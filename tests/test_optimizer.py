@@ -1,10 +1,11 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from deconflict import atlanta, oracle
+from deconflict import atlanta, optimizer, oracle
 from deconflict.errors import TooManyAgents
 from deconflict.kinematics import (ForbiddenInterval, Mission, SeparationConfig,
                                    Vec2, forbidden_interval)
@@ -80,16 +81,24 @@ class TestOptimizeOrder:
         a = Mission("a", Vec2(0, 10), Vec2(20, 10), 1.0)
         b = Mission("b", Vec2(10, 0), Vec2(10, 20), 1.0)
         search = optimize_order([b, a], cfg)
-        totals = {r.order: r.total_delay for r in search.results}
-        assert totals[("a", "b")] == pytest.approx(totals[("b", "a")], abs=1e-9)
+        assert search.ids == ("a", "b")
+        assert search.orders.tolist() == [[0, 1], [1, 0]]
+        ab, ba = search.totals.tolist()
+        assert ab == pytest.approx(ba, abs=1e-9)
         assert search.best.order == ("a", "b")
         assert set(search.optimal_orders) == {("a", "b"), ("b", "a")}
 
     def test_recompute_consistency(self, cfg):
         missions = random_instance(np.random.default_rng(21), 5)
         search = optimize_order(missions, cfg)
-        for r in search.results:
+        table = per_order_table(missions, cfg)
+        assert [r.order for r in table] == [
+            tuple(search.ids[i] for i in row) for row in search.orders.tolist()]
+        # the totals array is the fold of each row's departures, bit for bit
+        assert search.totals.tolist() == [r.total_delay for r in table]
+        for r in table:
             assert abs(r.total_delay - sum(r.departures)) <= 1e-9
+        assert np.array_equal(search.totals / 5, order_averages(missions, cfg))
 
     def test_optimum_dominates_identity_order(self, cfg):
         rng = np.random.default_rng(31)
@@ -160,6 +169,21 @@ def table_rows(table):
             for r in table]
 
 
+def assert_search_rows_match(search, rows):
+    """The totals array equals the reference totals bit for bit, and best and
+    worst, the least and greatest totals up to ties, equal the reference rows
+    of their orders in full."""
+    totals = [r[3] for r in rows]
+    assert search.totals.tolist() == totals
+    assert search.best.total_delay == pytest.approx(min(totals), rel=1e-6)
+    assert search.worst.total_delay == pytest.approx(max(totals), rel=1e-6)
+    by_order = {r[0]: r for r in rows}
+    for schedule in (search.best, search.worst):
+        ref = by_order[schedule.order]
+        assert (schedule.order, schedule.departures, schedule.bindings,
+                schedule.total_delay) == ref[:4]
+
+
 def test_order_table_matches_reference_sweep():
     """Every row of the array placement equals the scalar sweep exactly."""
     cases = [(generate_topology(AirspaceConfig(n_agents=n, seed=97 * n + s)),
@@ -172,6 +196,7 @@ def test_order_table_matches_reference_sweep():
         table = per_order_table(missions, cfg)
         rows = reference_order_table(missions, cfg, forbidden_interval)
         assert table_rows(table) == rows
+        assert_search_rows_match(optimize_order(missions, cfg), rows)
         # departures are Python floats, as the scalar sweep makes them
         assert all(type(d) is float for r in table for d in r.departures)
         bound_seen += sum(1 for r in rows for b in r[2] if b)
@@ -215,7 +240,11 @@ class TestArrayPlacementEdges:
 
         cfg = SeparationConfig(h=1.5)
         table = per_order_table(missions, cfg, pair_solver=stub)
-        assert table_rows(table) == reference_order_table(missions, cfg, stub)
+        rows = reference_order_table(missions, cfg, stub)
+        assert table_rows(table) == rows
+        # optimize_order looks the pair solver up in its module on each call
+        with mock.patch.object(optimizer, "forbidden_interval", stub):
+            assert_search_rows_match(optimize_order(missions, cfg), rows)
         return table
 
     def test_single_agent(self):
@@ -235,9 +264,12 @@ class TestArrayPlacementEdges:
 
     def test_touching_spans_leave_their_shared_end_free(self):
         # c is pushed to 4 by b's span; a's span opens there and stays open
-        first = self.table(3, {("a", "c"): (4.0, 9.0), ("b", "c"): (-1.0, 4.0)})[0]
+        table = self.table(3, {("a", "c"): (4.0, 9.0), ("b", "c"): (-1.0, 4.0)})
+        first = table[0]
         assert first.departures == (0.0, 0.0, 4.0)
         assert first.bindings == ((), (), ("b",))
+        # row 0 is also the worst order, so the search's worst sits on that edge
+        assert first.total_delay == max(r.total_delay for r in table)
 
     def test_span_starting_at_zero_leaves_zero_free(self):
         first, second = self.table(2, {("a", "b"): (0.0, 4.0)})
