@@ -11,7 +11,7 @@ from importlib import resources
 from .geo import seconds_to_minutes
 from .kinematics import SeparationConfig
 from .optimizer import optimize_order
-from .scenario_io import ScenarioFile, parse_scenario, to_missions
+from .scenario_io import parse_scenario
 
 ROUTES = {
     "01": "9GE8-GA66",
@@ -21,23 +21,20 @@ ROUTES = {
 }
 
 
-def load_scenario() -> ScenarioFile:
-    text = resources.files("deconflict.data").joinpath("atlanta.json").read_text()
-    return parse_scenario(json.loads(text))
-
-
 def load_missions():
-    return to_missions(load_scenario())
+    """The four Atlanta missions, in meters and m/s."""
+    text = resources.files("deconflict.data").joinpath("atlanta.json").read_text()
+    return parse_scenario(json.loads(text))[0]
 
 
-def case_study(h: float, cap: int = 9) -> dict:
+def case_study(h: float) -> dict:
     """Optimize the four-flight schedule at separation radius h (meters).
 
     Times are reported in minutes. efficiency_gain is 1 - best/worst total
     delay: the fraction of the worst order's delay that the best one avoids.
     """
     missions = load_missions()
-    search = optimize_order(missions, SeparationConfig(h=h), cap=cap)
+    search = optimize_order(missions, SeparationConfig(h=h))
     best = search.best
     return {
         "h_m": h,

@@ -12,13 +12,14 @@ import sys
 from pathlib import Path
 
 from . import atlanta
-from .errors import (DegenerateRelativeVelocity, ScenarioFormatError,
-                     TooManyAgents, TopologyRejectionExhausted, UnknownId)
+from .errors import (DegenerateRelativeVelocity, DegenerateSamples,
+                     ScenarioFormatError, TooManyAgents,
+                     TopologyRejectionExhausted, UnknownId)
 from .kinematics import (IntervalKind, SeparationConfig, cpa_time,
                          forbidden_interval, min_separation_sq, relative_state)
 from .optimizer import optimize_order
 from .scenario import run_monte_carlo
-from .scenario_io import read_scenario, to_missions
+from .scenario_io import read_scenario
 from .scheduler import greedy_schedule
 from .statfit import fit_report
 
@@ -29,10 +30,8 @@ EXIT_INTERNAL = 4
 
 
 def _load(args):
-    sf = read_scenario(args.scenario)
-    missions = to_missions(sf)
-    h = args.h if args.h is not None else sf.separation_h
-    return missions, SeparationConfig(h=h)
+    missions, h = read_scenario(args.scenario)
+    return missions, SeparationConfig(h=h if args.h is None else args.h)
 
 
 def _outdir(args) -> Path | None:
@@ -161,14 +160,15 @@ def cmd_montecarlo(args) -> int:
           f"({len(result.rejected_topologies)} rejected), mode={result.mode}")
     print(f"mean average delay: {float(delays.mean()):.4f} s, "
           f"std: {float(delays.std()):.4f} s")
-    out = _outdir(args)
-    if out is not None:
-        (out / "samples.csv").write_text(_samples_csv(result))
+    if args.out is not None:
+        # fit first: a fit error must leave no output behind
         report = fit_report(delays, bins=args.bins)
         report["n_agents"] = result.n_agents
         report["mode"] = result.mode
         report["seed"] = result.base_seed
         report["rejected_topologies"] = list(result.rejected_topologies)
+        out = _outdir(args)
+        (out / "samples.csv").write_text(_samples_csv(result))
         _write_json(out / "fit.json", report)
         print(f"selected distribution: {report['selected']}")
         print(f"wrote {out / 'samples.csv'} and {out / 'fit.json'}")
@@ -281,7 +281,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioFormatError, UnknownId, TooManyAgents, ValueError) as exc:
+    except (ScenarioFormatError, UnknownId, TooManyAgents, DegenerateSamples,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except TopologyRejectionExhausted as exc:

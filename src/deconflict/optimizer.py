@@ -11,7 +11,7 @@ from .scheduler import Schedule, order_tree, pair_arrays, schedules, total_of
 # unused here, but perfbench/spans.py patches optimizer.greedy_schedule
 from .scheduler import greedy_schedule  # noqa: F401
 
-#: exhaustive enumeration cap: 9! = 362,880 schedules
+#: exhaustive enumeration cap: 9! = 362,880 orders
 DEFAULT_ORDER_CAP = 9
 
 #: two order totals within this relative/absolute slack count as tied
@@ -43,11 +43,12 @@ class SearchResult:
         return 1.0 - self.best.total_delay / self.worst.total_delay
 
 
-def _sorted_tree(missions, cfg, cap, pair_solver):
+def _sorted_tree(missions, cfg, pair_solver, cap):
     """Sorted mission ids, their hi span array, and order_tree over them.
 
     Pairwise forbidden spans depend only on the mission set, so they are
-    computed once and shared across all orders.
+    computed once and shared across all orders. More than cap missions
+    raise TooManyAgents before any pair is solved.
     """
     missions = sorted(missions, key=lambda m: m.id)
     n = len(missions)
@@ -60,10 +61,10 @@ def _sorted_tree(missions, cfg, cap, pair_solver):
     return (tuple(m.id for m in missions), hi, *order_tree(lo, hi))
 
 
-def order_averages(missions, cfg: SeparationConfig,
-                   cap: int = DEFAULT_ORDER_CAP) -> np.ndarray:
+def order_averages(missions, cfg: SeparationConfig) -> np.ndarray:
     """Average delay of every order, as in per_order_table, without its objects."""
-    ids, _, _, deps = _sorted_tree(missions, cfg, cap, forbidden_interval)
+    ids, _, _, deps = _sorted_tree(missions, cfg, forbidden_interval,
+                                   DEFAULT_ORDER_CAP)
     return total_of(deps.T) / len(ids)
 
 
@@ -71,13 +72,13 @@ def per_order_table(missions, cfg: SeparationConfig,
                     cap: int = DEFAULT_ORDER_CAP,
                     pair_solver=forbidden_interval) -> list[Schedule]:
     """Evaluate every permutation; output in lexicographic order of mission ids."""
-    return schedules(*_sorted_tree(missions, cfg, cap, pair_solver))
+    return schedules(*_sorted_tree(missions, cfg, pair_solver, cap))
 
 
-def optimize_order(missions, cfg: SeparationConfig,
-                   cap: int = DEFAULT_ORDER_CAP) -> SearchResult:
+def optimize_order(missions, cfg: SeparationConfig) -> SearchResult:
     """Pick the flight order with minimal total delay by full enumeration."""
-    ids, hi, orders, deps = _sorted_tree(missions, cfg, cap, forbidden_interval)
+    ids, hi, orders, deps = _sorted_tree(missions, cfg, forbidden_interval,
+                                         DEFAULT_ORDER_CAP)
     totals = total_of(deps.T)
     scan = totals.tolist()
     best = worst = 0

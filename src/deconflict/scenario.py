@@ -1,8 +1,10 @@
 """Seeded random airspace topologies and the Monte Carlo delay harness.
 
-Topologies follow the scaled simulation environment: a square airspace with
-2N vertiports placed uniformly on its perimeter, N crossing missions between
-them, and cruise speeds drawn uniformly from a fixed range. Every pair of
+Topologies follow the scaled simulation environment: a square airspace of
+side SIDE = 20 m with 2N vertiports placed uniformly on its perimeter, N
+crossing missions between them, and cruise speeds drawn uniformly from
+SPEED_RANGE = 0.66-1.89 m/s. The box and the speed range are fixed
+constants; the agent count, the seed and the spacing h vary. Every pair of
 nominal routes intersects, so every pair is a potential conflict.
 
 Chords of a convex boundary are pairwise crossing exactly when each chord
@@ -29,6 +31,10 @@ from .optimizer import per_order_table  # noqa: F401
 
 log = logging.getLogger(__name__)
 
+#: side of the square airspace (m)
+SIDE = 20.0
+#: cruise speeds are drawn uniformly from this range (m/s)
+SPEED_RANGE = (0.66, 1.89)
 #: full-topology redraws before giving up
 MAX_TOPOLOGY_ATTEMPTS = 10_000
 #: redraws of a single vertiport that violates the spacing rule
@@ -39,28 +45,21 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 
 @dataclass(frozen=True)
 class AirspaceConfig:
-    """Square airspace and traffic parameters of one random topology."""
+    """Traffic parameters of one random topology in the SIDE-meter box."""
     n_agents: int
     seed: int
-    side: float = 20.0
     h: float = 1.5
-    speed_range: tuple[float, float] = (0.66, 1.89)
 
     def __post_init__(self):
         if self.n_agents < 1:
             raise ValueError(f"n_agents must be >= 1, got {self.n_agents}")
-        if not self.side > 0.0:
-            raise ValueError(f"side must be positive, got {self.side}")
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
-        smin, smax = self.speed_range
-        if not (smin > 0.0 and smin <= smax):
-            raise ValueError(f"invalid speed range {self.speed_range}")
         # 2N vertiports with pairwise spacing >= h must fit on the perimeter
-        if 2 * self.n_agents * self.h >= 4.0 * self.side:
+        if 2 * self.n_agents * self.h >= 4.0 * SIDE:
             raise ValueError(
                 f"{2 * self.n_agents} vertiports with spacing {self.h} m "
-                f"cannot fit on a {self.side} m square's perimeter")
+                f"cannot fit on a {SIDE} m square's perimeter")
 
 
 @dataclass(frozen=True)
@@ -86,27 +85,27 @@ class MonteCarloResult:
         return self.delays
 
 
-def _perimeter_point(side: float, u: float) -> Vec2:
-    """Map arc length u in [0, 4*side) to a point on the square's boundary."""
-    u = u % (4.0 * side)
-    if u < side:
+def _perimeter_point(u: float) -> Vec2:
+    """Map arc length u in [0, 4*SIDE) to a point on the square's boundary."""
+    u = u % (4.0 * SIDE)
+    if u < SIDE:
         return Vec2(u, 0.0)
-    if u < 2.0 * side:
-        return Vec2(side, u - side)
-    if u < 3.0 * side:
-        return Vec2(3.0 * side - u, side)
-    return Vec2(0.0, 4.0 * side - u)
+    if u < 2.0 * SIDE:
+        return Vec2(SIDE, u - SIDE)
+    if u < 3.0 * SIDE:
+        return Vec2(3.0 * SIDE - u, SIDE)
+    return Vec2(0.0, 4.0 * SIDE - u)
 
 
 def _draw_vertiports(rng: np.random.Generator, cfg: AirspaceConfig):
     """2N perimeter arc parameters with pairwise Euclidean spacing >= h."""
-    perimeter = 4.0 * cfg.side
+    perimeter = 4.0 * SIDE
     params: list[float] = []
     points: list[Vec2] = []
     for _ in range(2 * cfg.n_agents):
         for _attempt in range(MAX_POINT_ATTEMPTS):
             u = perimeter * rng.random()
-            p = _perimeter_point(cfg.side, u)
+            p = _perimeter_point(u)
             if all((p - q).norm() >= cfg.h for q in points):
                 params.append(u)
                 points.append(p)
@@ -126,7 +125,7 @@ def generate_topology(cfg: AirspaceConfig) -> list[Mission]:
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed & _U64))
     n = cfg.n_agents
-    smin, smax = cfg.speed_range
+    smin, smax = SPEED_RANGE
     for _attempt in range(MAX_TOPOLOGY_ATTEMPTS):
         drawn = _draw_vertiports(rng, cfg)
         if drawn is None:
@@ -150,27 +149,25 @@ def generate_topology(cfg: AirspaceConfig) -> list[Mission]:
         f"(seed {cfg.seed})")
 
 
-def _topology_delays(cfg: AirspaceConfig, mode: str, cap: int):
-    """Per-order average delays (pooled) or the optimal one, or None if rejected."""
+def _topology_job(job):
+    """(k, delays) for the job (k, cfg, mode); delays is None if rejected.
+
+    Pooled mode gives every order's average delay, optimal mode the least.
+    """
+    k, cfg, mode = job
     try:
         missions = generate_topology(cfg)
     except TopologyRejectionExhausted:
-        return None
-    averages = order_averages(missions, SeparationConfig(h=cfg.h), cap=cap)
+        return k, None
+    averages = order_averages(missions, SeparationConfig(h=cfg.h))
     if mode == "optimal":
-        return averages.min(keepdims=True)
-    return averages
-
-
-def _mc_worker(args):
-    k, cfg, mode, cap = args
-    return k, _topology_delays(cfg, mode, cap)
+        return k, averages.min(keepdims=True)
+    return k, averages
 
 
 def run_monte_carlo(n_agents: int, n_topologies: int, base_seed: int,
-                    mode: str = "pooled", side: float = 20.0, h: float = 1.5,
-                    speed_range: tuple[float, float] = (0.66, 1.89),
-                    workers: int = 1, cap: int = 9) -> MonteCarloResult:
+                    mode: str = "pooled", h: float = 1.5,
+                    workers: int = 1) -> MonteCarloResult:
     """Average-delay samples over seeded random topologies.
 
     Topology k uses seed base_seed XOR k, so samples are independent of the
@@ -187,14 +184,13 @@ def run_monte_carlo(n_agents: int, n_topologies: int, base_seed: int,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [(k, AirspaceConfig(n_agents=n_agents, seed=(base_seed ^ k) & _U64,
-                               side=side, h=h, speed_range=speed_range),
-             mode, cap)
+                               h=h), mode)
             for k in range(n_topologies)]
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
-            raw = pool.map(_mc_worker, jobs)
+            raw = pool.map(_topology_job, jobs)
     else:
-        raw = [_mc_worker(j) for j in jobs]
+        raw = [_topology_job(j) for j in jobs]
 
     kept: list[int] = []
     columns: list[np.ndarray] = []

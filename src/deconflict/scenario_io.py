@@ -1,4 +1,4 @@
-"""Versioned scenario files: JSON in, validated missions out.
+"""Versioned scenario files: JSON in, validated missions and h out.
 
 Schema (version 1):
 
@@ -15,12 +15,12 @@ Schema (version 1):
 Metric scenarios carry coordinates in meters and speeds in m/s. Geodetic
 scenarios carry [lat, lon] degrees and speeds in mph; they are projected
 onto a local plane about the centroid of all endpoints. Unknown fields are
-rejected so typos fail loudly.
+rejected so typos fail loudly. The readers return `(missions, separation_h)`
+with missions in meters and m/s; there is no writer.
 """
 
 import json
 import math
-from dataclasses import dataclass
 
 from .errors import OutOfProjectionRange, ScenarioFormatError
 from .geo import GeoPoint, mph_to_mps, project
@@ -30,22 +30,6 @@ SCENARIO_VERSION = 1
 _UNITS = ("metric", "geodetic")
 _TOP_KEYS = {"version", "units", "separation_h", "missions"}
 _MISSION_KEYS = {"id", "origin", "destination", "speed"}
-
-
-@dataclass(frozen=True)
-class MissionSpec:
-    id: str
-    origin: tuple[float, float]
-    destination: tuple[float, float]
-    speed: float
-
-
-@dataclass(frozen=True)
-class ScenarioFile:
-    version: int
-    units: str
-    separation_h: float
-    missions: tuple[MissionSpec, ...]
 
 
 def _number(value, field: str) -> float:
@@ -63,7 +47,8 @@ def _point(value, field: str) -> tuple[float, float]:
     return _number(value[0], field), _number(value[1], field)
 
 
-def parse_scenario(data: dict) -> ScenarioFile:
+def parse_scenario(data: dict) -> tuple[list[Mission], float]:
+    """Validate a decoded scenario; return its missions and separation_h."""
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -109,16 +94,13 @@ def parse_scenario(data: dict) -> ScenarioFile:
         if speed <= 0.0:
             raise ScenarioFormatError(f"speed must be positive, got {speed}",
                                       f"{field}.speed")
-        specs.append(MissionSpec(id=mid,
-                                 origin=_point(m["origin"], f"{field}.origin"),
-                                 destination=_point(m["destination"],
-                                                    f"{field}.destination"),
-                                 speed=speed))
-    return ScenarioFile(version=SCENARIO_VERSION, units=units,
-                        separation_h=h, missions=tuple(specs))
+        specs.append((mid, _point(m["origin"], f"{field}.origin"),
+                      _point(m["destination"], f"{field}.destination"), speed))
+    return _missions(units, specs), h
 
 
-def read_scenario(path) -> ScenarioFile:
+def read_scenario(path) -> tuple[list[Mission], float]:
+    """Read a scenario file; return its missions and separation_h."""
     try:
         with open(path) as f:
             data = json.load(f)
@@ -129,49 +111,22 @@ def read_scenario(path) -> ScenarioFile:
     return parse_scenario(data)
 
 
-def scenario_to_dict(sf: ScenarioFile) -> dict:
-    return {
-        "version": sf.version,
-        "units": sf.units,
-        "separation_h": sf.separation_h,
-        "missions": [
-            {"id": m.id, "origin": list(m.origin),
-             "destination": list(m.destination), "speed": m.speed}
-            for m in sf.missions
-        ],
-    }
-
-
-def write_scenario(sf: ScenarioFile, path) -> None:
-    with open(path, "w") as f:
-        json.dump(scenario_to_dict(sf), f, indent=2)
-        f.write("\n")
-
-
-def to_missions(sf: ScenarioFile) -> list[Mission]:
-    """Materialize missions in meters/seconds, projecting geodetic input."""
-    if sf.units == "metric":
-        try:
-            return [Mission(id=m.id, origin=Vec2(*m.origin),
-                            destination=Vec2(*m.destination), speed=m.speed)
-                    for m in sf.missions]
-        except ValueError as exc:
-            raise ScenarioFormatError(str(exc)) from exc
-    points = []
-    for m in sf.missions:
-        points.append(m.origin)
-        points.append(m.destination)
+def _missions(units: str, specs) -> list[Mission]:
+    """Materialize (id, origin, destination, speed) specs in meters/seconds."""
     try:
-        geos = [GeoPoint(lat, lon) for lat, lon in points]
-    except ValueError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
-    ref = GeoPoint(sum(g.lat for g in geos) / len(geos),
-                   sum(g.lon for g in geos) / len(geos))
-    try:
-        return [Mission(id=m.id,
-                        origin=project(GeoPoint(*m.origin), ref),
-                        destination=project(GeoPoint(*m.destination), ref),
-                        speed=mph_to_mps(m.speed))
-                for m in sf.missions]
+        if units == "metric":
+            return [Mission(id=mid, origin=Vec2(*origin),
+                            destination=Vec2(*destination), speed=speed)
+                    for mid, origin, destination, speed in specs]
+        # the centroid sums origin then destination of each mission in turn
+        geos = [GeoPoint(lat, lon) for _, origin, destination, _ in specs
+                for lat, lon in (origin, destination)]
+        ref = GeoPoint(sum(g.lat for g in geos) / len(geos),
+                       sum(g.lon for g in geos) / len(geos))
+        return [Mission(id=mid,
+                        origin=project(GeoPoint(*origin), ref),
+                        destination=project(GeoPoint(*destination), ref),
+                        speed=mph_to_mps(speed))
+                for mid, origin, destination, speed in specs]
     except (ValueError, OutOfProjectionRange) as exc:
         raise ScenarioFormatError(str(exc)) from exc

@@ -34,9 +34,6 @@ class DistributionFamily(Enum):
     GAMMA = "gamma"
 
 
-ALL_FAMILIES = tuple(DistributionFamily)
-
-
 @dataclass(frozen=True, eq=False)
 class Histogram:
     """Uniform-bin density histogram; densities integrate to one."""
@@ -231,29 +228,30 @@ def _least_ssr(fits) -> FitResult:
     return min(fits, key=lambda r: r.ssr)
 
 
-def select_best(samples, families=ALL_FAMILIES, bins: int = DEFAULT_BINS) -> FitResult:
+def select_best(samples, bins: int = DEFAULT_BINS) -> FitResult:
     """Fit every family and return the one with minimal SSR.
 
-    Ties go to the family listed first in `families`, by default the
-    DistributionFamily order.
+    Ties go to the family listed first in DistributionFamily.
     """
-    return _least_ssr([fit(samples, fam, bins) for fam in families])
+    return _least_ssr([fit(samples, fam, bins) for fam in DistributionFamily])
 
 
-def fit_report(samples, families=ALL_FAMILIES, bins: int = DEFAULT_BINS) -> dict:
+def fit_report(samples, bins: int = DEFAULT_BINS) -> dict:
     """JSON-ready report: all fits, the selection, and plot-ready curves.
 
     Zero delays are a legitimate outcome (a schedule with no binding
     conflicts), but half the candidate families have positive support. So
     that every family is scored against the same histogram, nonpositive
     samples are dropped first; n_excluded_nonpositive in the report counts
-    them.
+    them. A non-finite sample raises ValueError.
     """
     x = np.asarray(samples, dtype=np.float64)
     n_raw = int(x.size)
+    if not np.isfinite(x).all():
+        raise ValueError(f"samples must be finite, got {x[~np.isfinite(x)][0]}")
     x = x[x > 0.0]
     hist = make_histogram(x, bins)
-    fits = [fit(x, fam, bins) for fam in families]
+    fits = [fit(x, fam, bins) for fam in DistributionFamily]
     best = _least_ssr(fits)
     return {
         "bins": bins,

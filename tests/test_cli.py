@@ -6,7 +6,7 @@ from deconflict import cli, scenario
 from deconflict.errors import TopologyRejectionExhausted
 from deconflict.kinematics import SeparationConfig
 from deconflict.optimizer import per_order_table
-from deconflict.scenario_io import read_scenario, to_missions
+from deconflict.scenario_io import read_scenario
 
 CROSSING = {
     "version": 1,
@@ -101,10 +101,10 @@ def test_optimize_reports_consistent_totals(scenario_path, tmp_path, capsys):
     assert csv_lines[0] == "order,total_delay_s,average_delay_s"
     assert len(csv_lines) == 3
     # each row prints the repr of the Schedule's own total and average
-    missions = to_missions(read_scenario(scenario_path(CROSSING)))
+    missions, h = read_scenario(scenario_path(CROSSING))
     assert csv_lines[1:] == [
         f"{'>'.join(r.order)},{r.total_delay!r},{r.average_delay!r}"
-        for r in per_order_table(missions, SeparationConfig(h=CROSSING["separation_h"]))]
+        for r in per_order_table(missions, SeparationConfig(h=h))]
 
 
 def test_optimize_no_conflict_zero_efficiency(scenario_path, tmp_path):
@@ -162,6 +162,29 @@ def test_montecarlo_all_rejected_exits_3_and_writes_nothing(monkeypatch, tmp_pat
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("extra,message", [
+    # two agents at h = 0.05 never conflict: every delay is 0, none is fitted
+    (["--n-agents", "2", "--h", "0.05", "--topologies", "5", "--seed", "1"],
+     "need at least 2 samples, got 0"),
+    (["--n-agents", "3", "--topologies", "2", "--bins", "1"],
+     "need at least 2 bins, got 1"),
+])
+def test_montecarlo_unfittable_exits_2_and_writes_nothing(extra, message, tmp_path,
+                                                         capsys):
+    out_dir = tmp_path / "mc"
+    assert cli.main(["montecarlo", *extra, "--out", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_montecarlo_over_cap_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "mc"
+    assert cli.main(["montecarlo", "--n-agents", "10", "--topologies", "3",
+                     "--out", str(out_dir)]) == 2
+    assert "exceeds the 9-agent enumeration cap" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_montecarlo_nonpositive_workers_exits_2(capsys):
     assert cli.main(["montecarlo", "--n-agents", "3", "--topologies", "1",
                      "--workers", "-3"]) == 2
@@ -185,6 +208,19 @@ def test_fit_rejects_missing_column(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert cli.main(["fit", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["0.5", "0.5", "0.0"], "all 2 samples equal 0.5"),
+    (["1.0", "2.0", "nan", "3.0", "4.0"], "samples must be finite"),
+])
+def test_fit_rejects_unfittable_samples(rows, message, tmp_path, capsys):
+    csv = tmp_path / "samples.csv"
+    csv.write_text("\n".join(["average_delay_s", *rows]) + "\n")
+    out_dir = tmp_path / "fit"
+    assert cli.main(["fit", str(csv), "--out", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_casestudy_evaluates_24_orders(capsys):

@@ -146,9 +146,21 @@ class TestOptimizeOrder:
         assert search.best.order in search.optimal_orders
 
     def test_cap_enforced(self, cfg):
-        missions = random_instance(np.random.default_rng(71), 4)
-        with pytest.raises(TooManyAgents):
-            optimize_order(missions, cfg, cap=3)
+        # ten missions exceed the 9-agent cap before any pair is solved
+        missions = random_instance(np.random.default_rng(71), 10)
+        solved = []
+
+        def counting(first, second, pair_cfg):
+            solved.append((first.id, second.id))
+            return forbidden_interval(first, second, pair_cfg)
+
+        with mock.patch.object(optimizer, "forbidden_interval", counting):
+            for search in (optimize_order, order_averages):
+                with pytest.raises(TooManyAgents, match="9-agent"):
+                    search(missions, cfg)
+            assert solved == []
+            order_averages(missions[:3], cfg)  # the counter sees solves
+        assert len(solved) == 3
 
     def test_duplicate_ids_rejected(self, cfg):
         # two missions named "x" would give rows labelled ("x", "x")

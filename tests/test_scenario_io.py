@@ -4,9 +4,7 @@ import pytest
 
 from deconflict.errors import ScenarioFormatError
 from deconflict.geo import mph_to_mps
-from deconflict.scenario_io import (parse_scenario, read_scenario,
-                                    scenario_to_dict, to_missions,
-                                    write_scenario)
+from deconflict.scenario_io import parse_scenario, read_scenario
 
 METRIC = {
     "version": 1,
@@ -32,34 +30,18 @@ GEODETIC = {
 
 
 def test_metric_parse_and_materialize():
-    sf = parse_scenario(METRIC)
-    missions = to_missions(sf)
+    missions, h = parse_scenario(METRIC)
+    assert h == 1.5
     assert [m.id for m in missions] == ["a", "b"]
     assert missions[0].origin.x == 0.0 and missions[0].origin.y == 10.0
     assert missions[0].speed == 1.0
 
 
 def test_geodetic_projection_and_speed_conversion():
-    missions = to_missions(parse_scenario(GEODETIC))
+    missions, _ = parse_scenario(GEODETIC)
     assert missions[0].speed == pytest.approx(mph_to_mps(62.4))
     # ATL -> GA54 is about 29.6 km in the plane
     assert missions[0].length == pytest.approx(29_600.0, rel=0.01)
-
-
-def test_write_read_round_trip(tmp_path):
-    sf = parse_scenario(METRIC)
-    path = tmp_path / "scenario.json"
-    write_scenario(sf, path)
-    assert read_scenario(path) == sf
-    # canonical form is stable: writing again produces identical bytes
-    first = path.read_bytes()
-    write_scenario(read_scenario(path), path)
-    assert path.read_bytes() == first
-
-
-def test_parse_dict_round_trip():
-    sf = parse_scenario(METRIC)
-    assert parse_scenario(scenario_to_dict(sf)) == sf
 
 
 @pytest.mark.parametrize("mutate,field", [
@@ -88,14 +70,14 @@ def test_zero_length_route_rejected_at_materialization():
     data = json.loads(json.dumps(METRIC))
     data["missions"][0]["destination"] = data["missions"][0]["origin"]
     with pytest.raises(ScenarioFormatError):
-        to_missions(parse_scenario(data))
+        parse_scenario(data)
 
 
 def test_geodetic_span_beyond_projection_range_rejected():
     data = json.loads(json.dumps(GEODETIC))
     data["missions"][0]["destination"] = [40.7, -74.0]  # ~1200 km away
     with pytest.raises(ScenarioFormatError):
-        to_missions(parse_scenario(data))
+        parse_scenario(data)
 
 
 def test_invalid_json_file(tmp_path):
