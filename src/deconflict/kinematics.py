@@ -109,8 +109,10 @@ class SeparationConfig:
     tol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError(f"h must be positive, got {self.h}")
+        # the solver works with h * h, which must neither overflow nor vanish
+        if not (self.h > 0.0 and 0.0 < self.h * self.h < math.inf):
+            raise ValueError(f"h must be positive with a finite, nonzero "
+                             f"square, got {self.h}")
 
 
 class IntervalKind(Enum):

@@ -14,7 +14,7 @@ from .scheduler import greedy_schedule  # noqa: F401
 #: exhaustive enumeration cap: 9! = 362,880 orders
 DEFAULT_ORDER_CAP = 9
 
-#: two order totals within this relative/absolute slack count as tied
+#: totals within TIE_TOL * (1 + |m|) of the extreme total m count as tied
 TIE_TOL = 1e-9
 
 
@@ -24,9 +24,11 @@ class SearchResult:
 
     ids are the mission ids in sorted order. Row r of orders (n!, n) indexes
     them with one flight order, rows in lexicographic order, and totals[r]
-    is that order's total delay. best/worst minimize and maximize total
-    delay (ties broken by lexicographically smallest order); optimal_orders
-    lists all orders tying the minimum within numerical slack.
+    is that order's total delay. A total is tied with the least total m
+    when it is at most m + TIE_TOL * (1 + |m|): optimal_orders lists exactly
+    those orders, in row order, and best is the first of them. worst is the
+    first order whose total is at least M - TIE_TOL * (1 + |M|), M the
+    greatest total.
     """
     best: Schedule
     worst: Schedule
@@ -76,21 +78,19 @@ def per_order_table(missions, cfg: SeparationConfig,
 
 
 def optimize_order(missions, cfg: SeparationConfig) -> SearchResult:
-    """Pick the flight order with minimal total delay by full enumeration."""
+    """Pick the flight order with minimal total delay by full enumeration.
+
+    The orders whose totals lie within TIE_TOL * (1 + |m|) of the least
+    total m all tie; best is the lexicographically first of them, and worst
+    is the first order within the same band of the greatest total.
+    """
     ids, hi, orders, deps = _sorted_tree(missions, cfg, forbidden_interval,
                                          DEFAULT_ORDER_CAP)
     totals = total_of(deps.T)
-    scan = totals.tolist()
-    best = worst = 0
-    for r, total in enumerate(scan):
-        # totals within TIE_TOL are ties; keeping the incumbent realizes the
-        # lexicographically-smallest-order tie-break (enumeration is lex)
-        if total < scan[best] - TIE_TOL * (1.0 + abs(scan[best])):
-            best = r
-        if total > scan[worst] + TIE_TOL * (1.0 + abs(scan[worst])):
-            worst = r
-    tied = [r for r, total in enumerate(scan)
-            if math.isclose(total, scan[best], rel_tol=TIE_TOL, abs_tol=TIE_TOL)]
+    low, high = totals.min(), totals.max()
+    tied = np.flatnonzero(totals <= low + TIE_TOL * (1.0 + abs(low)))
+    best = tied[0]
+    worst = np.flatnonzero(totals >= high - TIE_TOL * (1.0 + abs(high)))[0]
     best_schedule, worst_schedule = schedules(ids, hi, orders[[best, worst]],
                                               deps[[best, worst]])
     return SearchResult(best=best_schedule, worst=worst_schedule, ids=ids,

@@ -150,19 +150,19 @@ def generate_topology(cfg: AirspaceConfig) -> list[Mission]:
 
 
 def _topology_job(job):
-    """(k, delays) for the job (k, cfg, mode); delays is None if rejected.
+    """Delays for the job (cfg, mode), or None if the topology is rejected.
 
     Pooled mode gives every order's average delay, optimal mode the least.
     """
-    k, cfg, mode = job
+    cfg, mode = job
     try:
         missions = generate_topology(cfg)
     except TopologyRejectionExhausted:
-        return k, None
+        return None
     averages = order_averages(missions, SeparationConfig(h=cfg.h))
     if mode == "optimal":
-        return k, averages.min(keepdims=True)
-    return k, averages
+        return averages.min(keepdims=True)
+    return averages
 
 
 def run_monte_carlo(n_agents: int, n_topologies: int, base_seed: int,
@@ -183,8 +183,8 @@ def run_monte_carlo(n_agents: int, n_topologies: int, base_seed: int,
         raise ValueError(f"n_topologies must be >= 1, got {n_topologies}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs = [(k, AirspaceConfig(n_agents=n_agents, seed=(base_seed ^ k) & _U64,
-                               h=h), mode)
+    jobs = [(AirspaceConfig(n_agents=n_agents, seed=(base_seed ^ k) & _U64,
+                            h=h), mode)
             for k in range(n_topologies)]
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
@@ -195,7 +195,7 @@ def run_monte_carlo(n_agents: int, n_topologies: int, base_seed: int,
     kept: list[int] = []
     columns: list[np.ndarray] = []
     rejected: list[int] = []
-    for k, delays in sorted(raw):
+    for k, delays in enumerate(raw):
         if delays is None:
             log.warning("topology %d rejected (seed %d)", k, base_seed ^ k)
             rejected.append(k)

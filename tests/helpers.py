@@ -10,21 +10,18 @@ import numpy as np
 
 import deconflict
 from deconflict.kinematics import IntervalKind, Mission, Vec2
+from deconflict.scenario import SIDE, SPEED_RANGE
 from deconflict.scheduler import BINDING_TOL
 
-BOX_SIDE = 20.0
-SPEED_RANGE = (0.66, 1.89)
 MIN_ROUTE_LEN = 1.0
 
 
-def random_mission(rng: np.random.Generator, mid: str,
-                   side: float = BOX_SIDE,
-                   speed_range=SPEED_RANGE) -> Mission:
+def random_mission(rng: np.random.Generator, mid: str) -> Mission:
     while True:
-        x = rng.uniform(0.0, side, 4)
+        x = rng.uniform(0.0, SIDE, 4)
         if np.hypot(x[2] - x[0], x[3] - x[1]) >= MIN_ROUTE_LEN:
             break
-    speed = rng.uniform(*speed_range)
+    speed = rng.uniform(*SPEED_RANGE)
     return Mission(id=mid, origin=Vec2(x[0], x[1]),
                    destination=Vec2(x[2], x[3]), speed=speed)
 

@@ -127,6 +127,20 @@ def test_h_flag_overrides_scenario(scenario_path, capsys):
     assert "forbidden delays: (" in out
 
 
+@pytest.mark.parametrize("h", ["inf", "1e200"])
+def test_h_without_finite_square_exits_2_and_writes_nothing(h, scenario_path,
+                                                            tmp_path, capsys):
+    # h * h overflows to inf, which the pair solver cannot compare with
+    out_dir = tmp_path / "opt"
+    rc = cli.main(["optimize", "--scenario", scenario_path(CROSSING),
+                   "--h", h, "--out", str(out_dir)])
+    assert rc == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "h must be positive with a finite, nonzero square" in captured.err
+
+
 def test_montecarlo_writes_samples_and_fit(tmp_path, capsys):
     out_dir = tmp_path / "mc"
     rc = cli.main(["montecarlo", "--n-agents", "3", "--topologies", "4",

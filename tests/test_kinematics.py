@@ -61,7 +61,9 @@ class TestSeparationConfig:
             SeparationConfig(h=1.5, tol=1e-3)
 
     def test_rejects_non_positive_h(self):
-        for h in (0.0, -1.0, math.nan):
+        # the pair solver compares with h * h: inf and 1e200 overflow it,
+        # 1e-200 underflows it to 0
+        for h in (0.0, -1.0, math.nan, math.inf, 1e200, 1e-200):
             with pytest.raises(ValueError):
                 SeparationConfig(h=h)
 

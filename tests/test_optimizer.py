@@ -9,7 +9,8 @@ from deconflict import atlanta, optimizer, oracle
 from deconflict.errors import TooManyAgents
 from deconflict.kinematics import (ForbiddenInterval, Mission, SeparationConfig,
                                    Vec2, forbidden_interval)
-from deconflict.optimizer import optimize_order, order_averages, per_order_table
+from deconflict.optimizer import (TIE_TOL, optimize_order, order_averages,
+                                  per_order_table)
 from deconflict.scenario import AirspaceConfig, generate_topology, run_monte_carlo
 from deconflict.scheduler import Schedule, greedy_schedule
 from helpers import random_instance, reference_order_table
@@ -181,14 +182,23 @@ def table_rows(table):
             for r in table]
 
 
+def within_band(total, extreme):
+    return abs(total - extreme) <= TIE_TOL * (1.0 + abs(extreme))
+
+
 def assert_search_rows_match(search, rows):
-    """The totals array equals the reference totals bit for bit, and best and
-    worst, the least and greatest totals up to ties, equal the reference rows
-    of their orders in full."""
+    """The totals array equals the reference totals bit for bit. The orders
+    within the tie band of the least total are optimal_orders, in row order,
+    and best is the first of them; worst is the first order within the band
+    of the greatest total. best and worst equal the reference rows of their
+    orders in full."""
     totals = [r[3] for r in rows]
     assert search.totals.tolist() == totals
-    assert search.best.total_delay == pytest.approx(min(totals), rel=1e-6)
-    assert search.worst.total_delay == pytest.approx(max(totals), rel=1e-6)
+    tied = [r[0] for r in rows if within_band(r[3], min(totals))]
+    assert search.optimal_orders == tuple(tied)
+    assert search.best.order == tied[0]
+    assert search.worst.order == next(r[0] for r in rows
+                                      if within_band(r[3], max(totals)))
     by_order = {r[0]: r for r in rows}
     for schedule in (search.best, search.worst):
         ref = by_order[schedule.order]
@@ -234,14 +244,16 @@ def test_order_table_matches_reference_sweep():
 
 
 class TestArrayPlacementEdges:
-    """per_order_table on hand-made spans from a stub pair solver.
+    """per_order_table and optimize_order on hand-made spans of a stub solver.
 
     spans maps (first id, second id), first < second, to (lo, hi); pairs
     not listed never conflict. Row 0 is the lexicographic order a, b, c, ...
     """
 
+    CFG = SeparationConfig(h=1.5)
+
     @staticmethod
-    def table(n, spans):
+    def instance(n, spans):
         missions = [Mission(chr(ord("a") + i), Vec2(0.0, 0.0), Vec2(1.0, 0.0), 1.0)
                     for i in range(n)]
 
@@ -250,13 +262,22 @@ class TestArrayPlacementEdges:
             return ForbiddenInterval.empty() if span is None else \
                 ForbiddenInterval.bounded(*span)
 
-        cfg = SeparationConfig(h=1.5)
-        table = per_order_table(missions, cfg, pair_solver=stub)
-        rows = reference_order_table(missions, cfg, stub)
-        assert table_rows(table) == rows
+        return missions, stub
+
+    @classmethod
+    def search(cls, n, spans):
+        missions, stub = cls.instance(n, spans)
         # optimize_order looks the pair solver up in its module on each call
         with mock.patch.object(optimizer, "forbidden_interval", stub):
-            assert_search_rows_match(optimize_order(missions, cfg), rows)
+            return optimize_order(missions, cls.CFG)
+
+    @classmethod
+    def table(cls, n, spans):
+        missions, stub = cls.instance(n, spans)
+        table = per_order_table(missions, cls.CFG, pair_solver=stub)
+        rows = reference_order_table(missions, cls.CFG, stub)
+        assert table_rows(table) == rows
+        assert_search_rows_match(cls.search(n, spans), rows)
         return table
 
     def test_single_agent(self):
@@ -303,3 +324,25 @@ class TestArrayPlacementEdges:
         assert first.departures == (0.0, 0.0, 0.0, 3.0)
         assert first.bindings == ((), (), (), ("c",))
         assert first.total_delay == 3.0
+
+    def test_near_tie_below_the_first_order_ties_with_it(self):
+        # b > a costs 1.5e-9 less than a > b, inside the band of the least
+        # total: both orders tie and the first of them, a > b, is best
+        spans = {("a", "b"): (-(1.0 - 1.5e-9), 1.0)}
+        first, second = self.table(2, spans)
+        assert (first.total_delay, second.total_delay) == (1.0, 1.0 - 1.5e-9)
+        search = self.search(2, spans)
+        assert search.best.order == ("a", "b")
+        assert search.optimal_orders == (("a", "b"), ("b", "a"))
+
+    def test_worst_is_the_first_order_within_the_band_of_the_greatest(self):
+        # the band at total 6 is 7e-9: the fourth order's total, 6 + 4e-9, is
+        # within it of the greatest, 6 + 8e-9, so the fourth order is worst
+        spans = {("a", "b"): (-2.0, 2.0), ("a", "c"): (-2.0 - 4e-9, 2.0),
+                 ("b", "c"): (-2.0, 2.0)}
+        totals = [r.total_delay for r in self.table(3, spans)]
+        assert totals == pytest.approx([6.0, 6.0, 6.0, 6.0 + 4e-9, 6.0 + 8e-9, 6.0],
+                                       rel=0.0, abs=1e-12)
+        search = self.search(3, spans)
+        assert search.worst.order == ("b", "c", "a")
+        assert search.best.order == ("a", "b", "c")
