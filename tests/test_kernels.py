@@ -1,13 +1,15 @@
 """Checks of the hot paths through the public entry points: the oracle's
-delay grid against its per-pair sampler, clamped-window edge cases, and the
-pair solver's tangency, corner and sliver cases and certified endpoints,
-and the oracle's independence from the solver's code."""
+delay grid against its per-pair sampler, its checks of the sampling step,
+clamped-window edge cases, and the pair solver's tangency, corner and sliver
+cases and certified endpoints, and the oracle's independence from the
+solver's code."""
 
 import ast
 import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import deconflict
 from deconflict import oracle
@@ -24,6 +26,62 @@ def test_grid_kernel_matches_scalar_calls():
         grid = oracle.delta_grid_min_sep_sq(a, b, deltas, 0.02, True)
         for d, g in zip(deltas, grid):
             assert g == oracle.sampled_min_separation_sq(a, 0.0, b, float(d), 0.02, True)
+
+
+def _assert_grid_matches_scalar(a, b, deltas, dt, refine):
+    grid = oracle.delta_grid_min_sep_sq(a, b, deltas, dt, refine)
+    assert grid.shape == deltas.shape
+    for d, g in zip(deltas.tolist(), grid.tolist()):
+        assert g == oracle.sampled_min_separation_sq(a, 0.0, b, d, dt, refine), d
+    return grid
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_grid_kernel_matches_scalar_calls_on_edge_grids(refine):
+    for a, b in pair_stream(36, 6):
+        # past both ends the windows are disjoint; -dur_b and dur_a give
+        # zero-length windows, and the grid also holds 0.0 and -0.0
+        edges = np.array([-b.duration - 0.5, -b.duration, -0.0, 0.0,
+                          a.duration, a.duration + 0.5])
+        grid = _assert_grid_matches_scalar(a, b, edges, 0.02, refine)
+        assert grid[0] == grid[-1] == math.inf
+        assert np.isfinite(grid[1:-1]).all()
+        # a fine step: the grid's samples fill several CHUNK blocks
+        deltas = np.concatenate([np.linspace(-b.duration, a.duration, 15), edges])
+        windows = (np.minimum(a.duration, deltas + b.duration)
+                   - np.maximum(0.0, deltas))
+        assert np.sum(windows[windows >= 0.0] / 0.001) > 2 * oracle.CHUNK
+        _assert_grid_matches_scalar(a, b, deltas, 0.001, refine)
+    for x0 in (2.5, 7.25):
+        # perfbench's fine grid across a sliver pair's few-millisecond conflict
+        a, b = _sliver(x0, 2e-6)
+        fine = b.destination.x - b.duration + np.linspace(-0.02, 0.02, 401)
+        _assert_grid_matches_scalar(a, b, fine, 0.05, refine)
+
+
+def test_grid_kernel_returns_float64_of_input_shape():
+    a, b = next(pair_stream(37, 1))
+    deltas = np.linspace(-b.duration - 1.0, a.duration + 1.0, 1000)
+    for shaped in (deltas, deltas.reshape(40, 25)):
+        grid = oracle.delta_grid_min_sep_sq(a, b, shaped, 0.05)
+        assert grid.dtype == np.float64
+        assert grid.shape == shaped.shape
+    assert np.array_equal(grid.ravel(), oracle.delta_grid_min_sep_sq(a, b, deltas, 0.05))
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.05, math.nan, math.inf])
+def test_oracle_rejects_unusable_dt(dt):
+    # inf would make the first sample nan, which a `sep < h*h` test
+    # reads as no conflict
+    a, b = next(pair_stream(38, 1))
+    with pytest.raises(ValueError, match="dt"):
+        oracle.sampled_min_separation_sq(a, 0.0, b, 0.5, dt)
+    with pytest.raises(ValueError, match="dt"):
+        oracle.delta_grid_min_sep_sq(a, b, np.linspace(-1.0, 1.0, 5), dt)
+    with pytest.raises(ValueError, match="dt"):
+        oracle.schedule_pair_min_seps([a, b], [0.0, 0.5], dt)
+    with pytest.raises(ValueError, match="dt"):
+        oracle.schedule_is_safe([a], [0.0], 1.5, dt)
 
 
 def test_pair_min_sep_disjoint_windows():
