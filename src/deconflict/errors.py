@@ -14,7 +14,7 @@ class TooManyAgents(DeconflictError):
 
 
 class TopologyRejectionExhausted(DeconflictError):
-    """Random topology generation hit its attempt budget."""
+    """A random topology's vertiport found no place within its draw budget."""
 
 
 class DegenerateSamples(DeconflictError):

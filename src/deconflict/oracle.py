@@ -20,6 +20,8 @@ from .kinematics import Mission
 #: elements (delays x samples) per block of the delay-grid sampler; a window
 #: with more samples than this is sampled as a block of its own
 CHUNK = 1 << 13
+#: shortfall below h (m) that schedule_is_safe forgives in a sampled minimum
+SLACK = 1e-3
 
 
 def _step(dt) -> float:
@@ -201,8 +203,7 @@ def schedule_pair_min_seps(missions, departures, dt: float,
                              for (a, ta), (b, tb) in combinations(legs, 2)]))
 
 
-def schedule_is_safe(missions, departures, h: float, dt: float,
-                     slack: float = 1e-3) -> bool:
-    """True when every co-airborne pair keeps separation >= h - slack."""
+def schedule_is_safe(missions, departures, h: float, dt: float) -> bool:
+    """True when every co-airborne pair keeps separation >= h - SLACK."""
     seps = schedule_pair_min_seps(missions, departures, dt)
-    return bool(np.all(seps >= h - slack))
+    return bool(np.all(seps >= h - SLACK))

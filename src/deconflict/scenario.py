@@ -15,9 +15,16 @@ randomness enters through the positions, each mission's flight direction,
 the cruise speeds, and the listing order. (Rejection-sampling uniformly
 random matchings would almost never find the unique crossing one: there are
 135,135 matchings at N=7.)
+
+Vertiports are drawn one at a time; one that lands closer than h to a
+vertiport already placed is redrawn, up to MAX_POINT_ATTEMPTS times. A
+vertiport that finds no place rejects the whole topology: the generator
+raises TopologyRejectionExhausted, and the Monte Carlo harness logs and
+reports that topology instead of drawing it again.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -35,9 +42,7 @@ log = logging.getLogger(__name__)
 SIDE = 20.0
 #: cruise speeds are drawn uniformly from this range (m/s)
 SPEED_RANGE = (0.66, 1.89)
-#: full-topology redraws before giving up
-MAX_TOPOLOGY_ATTEMPTS = 10_000
-#: redraws of a single vertiport that violates the spacing rule
+#: draws of one vertiport before it rejects the topology
 MAX_POINT_ATTEMPTS = 1_000
 
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -85,34 +90,15 @@ class MonteCarloResult:
         return self.delays
 
 
-def _perimeter_point(u: float) -> Vec2:
-    """Map arc length u in [0, 4*SIDE) to a point on the square's boundary."""
-    u = u % (4.0 * SIDE)
+def _perimeter_point(u: float) -> tuple[float, float]:
+    """Map arc length u in [0, 4*SIDE) to (x, y) on the square's boundary."""
     if u < SIDE:
-        return Vec2(u, 0.0)
+        return u, 0.0
     if u < 2.0 * SIDE:
-        return Vec2(SIDE, u - SIDE)
+        return SIDE, u - SIDE
     if u < 3.0 * SIDE:
-        return Vec2(3.0 * SIDE - u, SIDE)
-    return Vec2(0.0, 4.0 * SIDE - u)
-
-
-def _draw_vertiports(rng: np.random.Generator, cfg: AirspaceConfig):
-    """2N perimeter arc parameters with pairwise Euclidean spacing >= h."""
-    perimeter = 4.0 * SIDE
-    params: list[float] = []
-    points: list[Vec2] = []
-    for _ in range(2 * cfg.n_agents):
-        for _attempt in range(MAX_POINT_ATTEMPTS):
-            u = perimeter * rng.random()
-            p = _perimeter_point(u)
-            if all((p - q).norm() >= cfg.h for q in points):
-                params.append(u)
-                points.append(p)
-                break
-        else:
-            return None
-    return params, points
+        return 3.0 * SIDE - u, SIDE
+    return 0.0, 4.0 * SIDE - u
 
 
 def generate_topology(cfg: AirspaceConfig) -> list[Mission]:
@@ -120,33 +106,36 @@ def generate_topology(cfg: AirspaceConfig) -> list[Mission]:
 
     Draw order (one PCG64 stream): vertiport positions, per-mission
     direction flips, cruise speeds, listing shuffle. The missions cross by
-    construction; a draw is repeated only when a vertiport cannot be placed
-    h from the others.
+    construction. A vertiport closer than h to one already placed is
+    redrawn, up to MAX_POINT_ATTEMPTS times; one that still finds no place
+    rejects the topology with TopologyRejectionExhausted.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed & _U64))
     n = cfg.n_agents
+    placed: list[tuple[float, float, float]] = []  # (arc length, x, y)
+    for k in range(2 * n):
+        for _attempt in range(MAX_POINT_ATTEMPTS):
+            u = 4.0 * SIDE * rng.random()
+            x, y = _perimeter_point(u)
+            if all(math.hypot(x - qx, y - qy) >= cfg.h for _, qx, qy in placed):
+                placed.append((u, x, y))
+                break
+        else:
+            raise TopologyRejectionExhausted(
+                f"vertiport {k + 1} of {2 * n} found no place {cfg.h} m from "
+                f"the others in {MAX_POINT_ATTEMPTS} draws (seed {cfg.seed})")
+    ordered = [Vec2(x, y) for _, x, y in sorted(placed)]
+    flips = [rng.random() < 0.5 for _ in range(n)]
     smin, smax = SPEED_RANGE
-    for _attempt in range(MAX_TOPOLOGY_ATTEMPTS):
-        drawn = _draw_vertiports(rng, cfg)
-        if drawn is None:
-            continue
-        params, points = drawn
-        ordered = [p for _, p in sorted(zip(params, points), key=lambda t: t[0])]
-        endpoints = [(ordered[k], ordered[k + n]) for k in range(n)]
-        flips = [rng.random() < 0.5 for _ in range(n)]
-        speeds = [smin + (smax - smin) * rng.random() for _ in range(n)]
-        listing = rng.permutation(n)
-        missions = []
-        for rank, k in enumerate(listing):
-            a, b = endpoints[k]
-            if flips[k]:
-                a, b = b, a
-            missions.append(Mission(id=f"M{rank + 1}", origin=a,
-                                    destination=b, speed=speeds[k]))
-        return missions
-    raise TopologyRejectionExhausted(
-        f"no valid {n}-agent topology after {MAX_TOPOLOGY_ATTEMPTS} attempts "
-        f"(seed {cfg.seed})")
+    speeds = [smin + (smax - smin) * rng.random() for _ in range(n)]
+    missions = []
+    for rank, k in enumerate(rng.permutation(n)):
+        a, b = ordered[k], ordered[k + n]
+        if flips[k]:
+            a, b = b, a
+        missions.append(Mission(id=f"M{rank + 1}", origin=a, destination=b,
+                                speed=speeds[k]))
+    return missions
 
 
 def _topology_job(job):

@@ -57,7 +57,8 @@ def parse_scenario(data: dict) -> tuple[list[Mission], float]:
     missing = _TOP_KEYS - set(data)
     if missing:
         raise ScenarioFormatError(f"missing fields: {sorted(missing)}")
-    if data["version"] != SCENARIO_VERSION:
+    # type check first: True == 1 and 1.0 == 1 in Python
+    if type(data["version"]) is not int or data["version"] != SCENARIO_VERSION:
         raise ScenarioFormatError(
             f"unsupported version {data['version']!r} (expected {SCENARIO_VERSION})",
             "version")

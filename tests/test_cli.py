@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from deconflict import cli, scenario
+from deconflict import cli
 from deconflict.errors import TopologyRejectionExhausted
 from deconflict.kinematics import SeparationConfig
 from deconflict.optimizer import per_order_table
@@ -163,11 +163,10 @@ def test_montecarlo_optimal_mode_csv_has_no_rank(tmp_path):
     assert len(lines) == 4
 
 
-def test_montecarlo_all_rejected_exits_3_and_writes_nothing(monkeypatch, tmp_path,
-                                                           capsys):
-    monkeypatch.setattr(scenario, "_draw_vertiports", lambda rng, cfg: None)
+def test_montecarlo_all_rejected_exits_3_and_writes_nothing(tmp_path, capsys):
+    # 14 vertiports 5.7 m apart pass the config check but jam every draw
     out_dir = tmp_path / "mc"
-    args = ["montecarlo", "--n-agents", "4", "--topologies", "2"]
+    args = ["montecarlo", "--n-agents", "7", "--h", "5.7", "--topologies", "2"]
     for extra in ([], ["--out", str(out_dir)]):
         assert cli.main(args + extra) == 3
         captured = capsys.readouterr()
@@ -258,6 +257,15 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 99}))
     assert cli.main(["solve-pair", "--scenario", str(path), "a", "b"]) == 2
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_non_integer_version_exits_2(version, scenario_path, capsys):
+    path = scenario_path({**CROSSING, "version": version})
+    assert cli.main(["solve-pair", "--scenario", path, "a", "b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "version: unsupported version" in captured.err
 
 
 def test_infeasible_maps_to_exit_3(monkeypatch, scenario_path):

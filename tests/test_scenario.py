@@ -24,10 +24,42 @@ class TestAirspaceConfig:
             AirspaceConfig(n_agents=30, seed=0)
 
 
+# (id, origin.x, origin.y, destination.x, destination.y, speed) per mission
+PINNED_DRAWS = [
+    (4, 2026, 1.5, [
+        ('M1', 20.0, 9.640042168643845, 0.0, 7.588493065826086, 1.0767393175759272),
+        ('M2', 14.314785094034894, 0.0, 8.806946742787638, 20.0, 1.6758511678019512),
+        ('M3', 20.0, 3.864221388445543, 0.0, 16.7585403317388, 1.211508070842127),
+        ('M4', 20.0, 17.381472091478813, 0.0, 2.6430239870087604, 1.0018160350651957)]),
+    (7, 9003, 1.5, [
+        ('M1', 0.8764167524915081, 20.0, 15.002730712994108, 0.0, 1.214995345480834),
+        ('M2', 20.0, 10.395110243199028, 0.0, 1.1241956509229425, 1.2546795477911572),
+        ('M3', 7.635214198982654, 0.0, 20.0, 18.742838877318036, 1.0156805573232361),
+        ('M4', 0.0, 3.3898596203689237, 20.0, 5.364244981952826, 1.040227424370902),
+        ('M5', 17.472169509001844, 0.0, 0.0, 12.499448769236196, 1.331642128417843),
+        ('M6', 20.0, 15.937679368001064, 4.774773288726761, 0.0, 1.142290069349969),
+        ('M7', 18.765214547870748, 20.0, 12.54188244924869, 0.0, 0.7473093050491701)]),
+    # 50% perimeter coverage
+    (2, 3, 10.0, [
+        ('M1', 0.0, 15.89804278348825, 18.944840527687976, 0.0, 0.8564788650036067),
+        ('M2', 13.427037114850577, 20.0, 6.851933371489949, 0.0, 1.249233096713226)]),
+    # 70% perimeter coverage, placed on the first pass
+    (7, 1, 4.0, [
+        ('M1', 10.120819556999969, 20.0, 6.524209389081017, 0.0, 1.855178670012298),
+        ('M2', 0.0, 8.422731024306117, 20.0, 9.200581080684714, 1.3942949085442204),
+        ('M3', 0.0, 13.783792494364661, 20.0, 4.946516160838836, 1.5939002556636832),
+        ('M4', 0.0, 3.9629042939251775, 20.0, 13.866115917806056, 1.7887614763202229),
+        ('M5', 19.054270023979463, 20.0, 2.2047290594454694, 0.0, 1.369340650991131),
+        ('M6', 0.0, 19.71895130601547, 16.27641925409197, 0.0, 1.6330947562525506),
+        ('M7', 5.3370475197394285, 20.0, 11.532769017570699, 0.0, 1.6128368859561903)]),
+]
+
+
 class TestGenerateTopology:
     def test_structure(self):
-        # every pair of routes crosses, also at the tightest spacing the
-        # config admits, where 2N vertiports h apart fill half the perimeter
+        # every pair of routes crosses, also at h = 20/n, where 2N
+        # vertiports h apart fill half the perimeter (the config admits
+        # any 2N*h < 4*SIDE)
         for n in range(2, 8):
             for h in (1.5, 20.0 / n):
                 for seed in range(12):
@@ -62,10 +94,25 @@ class TestGenerateTopology:
         other = generate_topology(AirspaceConfig(n_agents=4, seed=43))
         assert other != generate_topology(cfg)
 
-    def test_rejection_budget_exhaustion(self, monkeypatch):
-        monkeypatch.setattr(scenario, "_draw_vertiports", lambda rng, cfg: None)
-        with pytest.raises(TopologyRejectionExhausted):
-            generate_topology(AirspaceConfig(n_agents=4, seed=0))
+    @pytest.mark.parametrize("n,seed,h,expected", PINNED_DRAWS)
+    def test_draw_is_pinned(self, n, seed, h, expected):
+        # any change to the draw order or to the float operations of the
+        # draw changes these; repr keeps the sign of -0.0
+        missions = generate_topology(AirspaceConfig(n_agents=n, seed=seed, h=h))
+        got = [(m.id, m.origin.x, m.origin.y, m.destination.x,
+                m.destination.y, m.speed) for m in missions]
+        assert repr(got) == repr(expected)
+
+    def test_rejection_budget_exhaustion(self):
+        # 14 vertiports 5.7 m apart pass the config check, but random draws
+        # jam long before they fill the perimeter; at 4.0 m (70% coverage)
+        # seed 0's last vertiport finds no place, where a whole-topology
+        # restart used to hide it
+        for h, jammed in ((5.7, r"vertiport \d+ of 14"),
+                          (4.0, r"vertiport 14 of 14")):
+            with pytest.raises(TopologyRejectionExhausted,
+                               match=rf"{jammed} .* {h} m .* 1000 draws \(seed 0\)"):
+                generate_topology(AirspaceConfig(n_agents=7, seed=0, h=h))
 
 
 class TestRunMonteCarlo:

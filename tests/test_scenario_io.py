@@ -66,6 +66,15 @@ def test_schema_violations_rejected(mutate, field):
         parse_scenario(data)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_version_must_be_the_integer_1(version):
+    data = json.loads(json.dumps(METRIC))
+    data["version"] = version
+    with pytest.raises(ScenarioFormatError) as exc:
+        parse_scenario(data)
+    assert exc.value.field == "version"
+
+
 def test_zero_length_route_rejected_at_materialization():
     data = json.loads(json.dumps(METRIC))
     data["missions"][0]["destination"] = data["missions"][0]["origin"]
