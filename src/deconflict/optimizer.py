@@ -24,7 +24,8 @@ class SearchResult:
 
     ids are the mission ids in sorted order. Row r of orders (n!, n) indexes
     them with one flight order, rows in lexicographic order, and totals[r]
-    is that order's total delay. A total is tied with the least total m
+    is that order's total delay. orders is read-only: every search of n
+    missions returns the same array. A total is tied with the least total m
     when it is at most m + TIE_TOL * (1 + |m|): optimal_orders lists exactly
     those orders, in row order, and best is the first of them. worst is the
     first order whose total is at least M - TIE_TOL * (1 + |M|), M the

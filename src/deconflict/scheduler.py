@@ -8,10 +8,12 @@ Forbidden spans are open, so their endpoints stay feasible: the separation
 constraint is >= h and a tangent pass is allowed. The least feasible instant
 is therefore 0 or the upper end of one of the spans.
 
-One array step places the next agent of many partial orders at once.
-`greedy_schedule` runs it on a single order; `order_tree` runs it once per
-level of the permutation tree to place all N! orders. `schedules` turns
-chosen rows into `Schedule` objects and finds their bindings.
+One array step places one more agent into many states at once. A state
+holds the departure of each agent placed so far and NaN for the others.
+`greedy_schedule` runs the step on a single state per agent; `order_tree`
+runs it once per level of the permutation tree, on the distinct states of
+that level only, to place all N! orders. `schedules` turns chosen rows into
+`Schedule` objects and finds their bindings.
 """
 
 import functools
@@ -86,50 +88,87 @@ def pair_arrays(missions, cfg: SeparationConfig, pair_solver=forbidden_interval)
     return lo, hi
 
 
-def place_next(lo, hi, prefix, deps, nxt):
-    """Earliest free departure t (R,) of agent nxt[r] after the partial order prefix[r].
+@functools.lru_cache(maxsize=None)
+def lexicographic_orders(n):
+    """All n! orders of agents 0..n-1 as a read-only (n!, n) array, rows in
+    lexicographic order.
 
-    prefix (R, k) holds agent indices, deps (R, k) their departures. The k
-    spans of row r are shifted by the earlier departures. From t = 0, while
-    some span has lo < t < hi, t moves to the largest such hi. Every move
-    clears the spans it leaves behind, so k moves reach the least free
-    instant.
+    Built from the orders of n - 1 agents: the block that starts with agent
+    j maps each shorter order's c to c + (c >= j). The cache keeps one array
+    per n for the life of the process (26 MB at n = 9), and every search of
+    the same n shares it.
     """
-    col = nxt[:, None]
-    los = lo[prefix, col] + deps
-    his = hi[prefix, col] + deps
+    if n == 0:
+        return np.zeros((1, 0), dtype=np.intp)
+    sub = lexicographic_orders(n - 1)
+    first = np.arange(n)[:, None, None]
+    orders = np.empty((n, len(sub), n), dtype=np.intp)
+    orders[:, :, :1] = first
+    np.add(sub, sub >= first, out=orders[:, :, 1:])
+    orders = orders.reshape(-1, n)
+    orders.flags.writeable = False
+    return orders
+
+
+def place_next(lo, hi, states, nxt, k):
+    """Earliest free departure t (R,) of agent nxt[r] in state states[r].
+
+    A state (n,) holds the departure of each placed agent and NaN for each
+    agent not yet placed; every row of states has k agents placed. The spans
+    of nxt[r] against the placed agents are shifted by their departures; a
+    NaN span (EMPTY, the diagonal or an unplaced agent) never contains t.
+    From t = 0, while some span has lo < t < hi, t moves to the largest such
+    hi. Every move clears the spans it leaves behind, so k moves reach the
+    least free instant.
+    """
+    # agents along axis 0, so each move's max runs across whole rows
+    deps = np.ascontiguousarray(states.T)
+    los = lo[:, nxt] + deps
+    his = hi[:, nxt] + deps
     t = np.zeros(len(nxt))
-    for _ in range(prefix.shape[1]):
-        inside = (los < t[:, None]) & (t[:, None] < his)
+    for _ in range(k):
+        inside = (los < t) & (t < his)
         if not inside.any():
             break
-        t = np.maximum(t, np.where(inside, his, -np.inf).max(axis=1))
+        t = np.maximum(t, np.where(inside, his, -np.inf).max(axis=0))
     return t
 
 
 def order_tree(lo, hi):
     """Greedy departures of all n! orders of agents 0..n-1.
 
-    The permutation tree is grown one level at a time: each prefix row gets
-    one child per remaining agent, in ascending index order, so the last
-    level lists the orders lexicographically. Returns the (n!, n) orders and
-    their (n!, n) departures.
+    The permutation tree is grown one level at a time over states, not
+    prefixes: each state gets one child per agent it has not placed, in
+    ascending agent order. place_next reads only the state, and its max over
+    a set of floats does not depend on the order the agents were placed in,
+    so prefixes that reach the same state have the same subtree. Children
+    equal bit for bit are merged into one state at the levels that place
+    the (k+1)-th agent for 2 <= k <= n - 3; the first two levels and the
+    last two have too few repeats to pay for the merge. Each prefix of the
+    lexicographic orders keeps the index of its state, and each full order
+    reads its departures off its leaf state. Returns the shared read-only
+    (n!, n) orders and their (n!, n) departures.
     """
     n = len(lo)
-    prefix = np.empty((1, 0), dtype=np.intp)
-    deps = np.empty((1, 0))
-    rest = np.arange(n)[None, :]  # agents not yet placed, ascending, per row
-    for k in range(n):
-        m = n - k
-        nxt = rest.ravel()
-        rest = rest[:, [[c for c in range(m) if c != j] for j in range(m)]]
-        rest = rest.reshape(len(nxt), m - 1)
-        prefix = np.repeat(prefix, m, axis=0)
-        deps = np.repeat(deps, m, axis=0)
-        t = place_next(lo, hi, prefix, deps, nxt)
-        prefix = np.concatenate((prefix, nxt[:, None]), axis=1)
-        deps = np.concatenate((deps, t[:, None]), axis=1)
-    return prefix, deps
+    orders = lexicographic_orders(n)
+    # the first agent of every order departs at t = 0
+    states = np.where(np.eye(n, dtype=bool), 0.0, np.nan)
+    prefix_state = np.arange(n)
+    for k in range(1, n):
+        parent, nxt = np.nonzero(np.isnan(states))
+        children = states[parent]
+        children[np.arange(len(nxt)), nxt] = place_next(lo, hi, children, nxt, k)
+        # every state has n - k free agents, so child c of state s, in
+        # ascending agent order as the orders list them, is s * (n - k) + c
+        prefix_state = (prefix_state[:, None] * (n - k) + np.arange(n - k)).ravel()
+        if 2 <= k <= n - 3:
+            keys = children.view(np.dtype((np.void, children.itemsize * n)))
+            keys, merged = np.unique(keys.ravel(), return_inverse=True)
+            children = keys.view(np.float64).reshape(-1, n)
+            prefix_state = merged[prefix_state]
+        states = children
+    # flat index of (leaf state, agent), one row per order in position order
+    return orders, np.take(states, prefix_state[:, None] * n + orders)
 
 
 def schedules(ids, hi, orders, deps) -> list[Schedule]:
@@ -163,9 +202,8 @@ def greedy_schedule(order, cfg: SeparationConfig,
     missions = list(order)
     ids = [m.id for m in missions]
     lo, hi = pair_arrays(missions, cfg, pair_solver)
-    row = np.arange(len(ids))[None, :]
-    deps = np.empty((1, 0))
-    for k in range(len(ids)):
-        t = place_next(lo, hi, row[:, :k], deps, row[0, k:k + 1])
-        deps = np.concatenate((deps, t[:, None]), axis=1)
-    return schedules(ids, hi, row, deps)[0]
+    n = len(ids)
+    state = np.full((1, n), np.nan)
+    for k in range(n):
+        state[:, k] = place_next(lo, hi, state, np.array([k]), k)
+    return schedules(ids, hi, np.arange(n)[None, :], state)[0]

@@ -124,10 +124,9 @@ def reference_schedule(ids, pair_intervals):
     return tuple(departures), tuple(bindings)
 
 
-def reference_order_table(missions, cfg, pair_solver):
-    """(order, departures, bindings, total, average) of every order, in
-    lexicographic id order, from the scalar sweep. Totals add the departures
-    left to right in a plain loop."""
+def reference_pairs(missions, cfg, pair_solver):
+    """(first id, second id) -> ForbiddenInterval of every ordered pair, each
+    unordered pair solved once and mirrored."""
     missions = sorted(missions, key=lambda m: m.id)
     table = {}
     for i, a in enumerate(missions):
@@ -135,14 +134,25 @@ def reference_order_table(missions, cfg, pair_solver):
             fi = pair_solver(a, b, cfg)
             table[(a.id, b.id)] = fi
             table[(b.id, a.id)] = fi.mirrored()
-    rows = []
-    for order in itertools.permutations(m.id for m in missions):
-        departures, bindings = reference_schedule(order, table)
-        total = 0.0
-        for d in departures:
-            total += d
-        rows.append((order, departures, bindings, total, total / len(order)))
-    return rows
+    return table
+
+
+def reference_row(order, pairs):
+    """(order, departures, bindings, total, average) of one order from the
+    scalar sweep. The total adds the departures left to right in a plain
+    loop."""
+    departures, bindings = reference_schedule(order, pairs)
+    total = 0.0
+    for d in departures:
+        total += d
+    return (order, departures, bindings, total, total / len(order))
+
+
+def reference_order_table(missions, cfg, pair_solver):
+    """reference_row of every order, in lexicographic id order."""
+    pairs = reference_pairs(missions, cfg, pair_solver)
+    return [reference_row(order, pairs)
+            for order in itertools.permutations(sorted(m.id for m in missions))]
 
 
 def child_env(base=None, **extra) -> dict:

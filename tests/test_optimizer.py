@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deconflict import atlanta, optimizer, oracle
 from deconflict.errors import TooManyAgents
@@ -12,8 +14,10 @@ from deconflict.kinematics import (ForbiddenInterval, Mission, SeparationConfig,
 from deconflict.optimizer import (TIE_TOL, optimize_order, order_averages,
                                   per_order_table)
 from deconflict.scenario import AirspaceConfig, generate_topology, run_monte_carlo
-from deconflict.scheduler import Schedule, greedy_schedule
-from helpers import random_instance, reference_order_table
+from deconflict.scheduler import (Schedule, greedy_schedule, order_tree,
+                                  pair_arrays, schedules)
+from helpers import (random_instance, reference_order_table, reference_pairs,
+                     reference_row)
 
 ROOT2 = math.sqrt(2.0)
 
@@ -176,6 +180,17 @@ class TestOptimizeOrder:
         search = optimize_order(parallel_pair, cfg)
         assert search.efficiency_gain == 0.0
 
+    def test_orders_array_is_shared_and_read_only(self, cfg):
+        lexicographic = [list(p) for p in itertools.permutations(range(4))]
+        orders = optimize_order(random_instance(np.random.default_rng(5), 4), cfg).orders
+        assert orders.tolist() == lexicographic
+        with pytest.raises(ValueError):
+            orders[0, 0] = 1
+        order_averages(random_instance(np.random.default_rng(6), 4), cfg)
+        again = optimize_order(random_instance(np.random.default_rng(7), 4), cfg)
+        assert again.orders is orders
+        assert orders.tolist() == lexicographic
+
 
 def table_rows(table):
     return [(r.order, r.departures, r.bindings, r.total_delay, r.average_delay)
@@ -241,6 +256,45 @@ def test_order_table_matches_reference_sweep():
         optimal = run_monte_carlo(n_agents=n, n_topologies=1, base_seed=seed,
                                   mode="optimal")
         assert optimal.delays.tolist() == [min(averages)]
+    # at N = 8 and 9 the tree merges states at levels 2..5 and 2..6: seeded
+    # rows of the full enumeration against the scalar sweep
+    rng = np.random.default_rng(89)
+    cfg = SeparationConfig(h=1.5)
+    for n, seed in ((8, 808), (9, 909)):
+        missions = sorted(generate_topology(AirspaceConfig(n_agents=n, seed=seed)),
+                          key=lambda m: m.id)
+        ids = tuple(m.id for m in missions)
+        lo, hi = pair_arrays(missions, cfg)
+        orders, deps = order_tree(lo, hi)
+        picked = np.sort(rng.choice(len(orders), 2000, replace=False))
+        pairs = reference_pairs(missions, cfg, forbidden_interval)
+        rows = [reference_row(tuple(ids[i] for i in row), pairs)
+                for row in orders[picked].tolist()]
+        assert table_rows(schedules(ids, hi, orders[picked], deps[picked])) == rows
+        assert sum(1 for r in rows for b in r[2] if b) > 0
+        search = optimize_order(missions, cfg)
+        assert search.totals[picked].tolist() == [r[3] for r in rows]
+        for schedule in (search.best, search.worst):
+            assert (schedule.order, schedule.departures, schedule.bindings,
+                    schedule.total_delay) == reference_row(schedule.order, pairs)[:4]
+
+
+#: span ends on a grid of exact halves, so ends touch, departures repeat and
+#: prefixes reach equal states
+SPAN_LO = st.sampled_from([-3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+SPAN_WIDTH = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.5])
+
+
+@st.composite
+def grid_spans(draw):
+    """(n, spans) for n <= 5 agents a, b, ...; each pair conflicts or not."""
+    n = draw(st.integers(1, 5))
+    spans = {}
+    for pair in itertools.combinations("abcde"[:n], 2):
+        if draw(st.booleans()):
+            lo = draw(SPAN_LO)
+            spans[pair] = (lo, lo + draw(SPAN_WIDTH))
+    return n, spans
 
 
 class TestArrayPlacementEdges:
@@ -288,12 +342,20 @@ class TestArrayPlacementEdges:
         assert (row.total_delay, row.average_delay) == (0.0, 0.0)
 
     def test_all_empty_spans(self):
-        table = self.table(4, {})
-        assert len(table) == 24
-        for r in table:
-            assert r.departures == (0.0,) * 4
-            assert r.bindings == ((),) * 4
-            assert r.total_delay == 0.0
+        # no level merges below N = 4; at N = 6 every level collapses to one
+        # state per placed set
+        for n in (1, 2, 3, 4, 6):
+            table = self.table(n, {})
+            assert len(table) == math.factorial(n)
+            for r in table:
+                assert r.departures == (0.0,) * n
+                assert r.bindings == ((),) * n
+                assert r.total_delay == 0.0
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(grid_spans())
+    def test_grid_spans_match_the_scalar_sweep(self, drawn):
+        self.table(*drawn)
 
     def test_touching_spans_leave_their_shared_end_free(self):
         # c is pushed to 4 by b's span; a's span opens there and stays open
