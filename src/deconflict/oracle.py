@@ -4,21 +4,20 @@ This is the independent check against which the analytic solvers are tested.
 It only ever evaluates inter-agent distance at sampled instants (optionally
 polishing the sampled minimum by local search), so it shares no code path
 with the vertex/root analysis in kinematics: it takes only the Mission type
-from there. A single window is sampled by one numpy evaluation; a delay grid
-is sampled in (delays x samples) blocks of at most CHUNK elements, with the
-same float operations in the same order as the single-window sampler, so
-both give bit-identical minima.
+from there. One sampler works on rows, one co-airborne window per row: rows
+are sampled in (rows x samples) blocks of at most CHUNK elements and
+polished in one masked loop. A single window, a delay grid and the pairs of
+a schedule are each one call of it; tests pin its outputs bit for bit.
 """
 
 import math
-from itertools import combinations
 
 import numpy as np
 
 from .kinematics import Mission
 
-#: elements (delays x samples) per block of the delay-grid sampler; a window
-#: with more samples than this is sampled as a block of its own
+#: elements (rows x samples) per block of the row sampler; a window with
+#: more samples than this is sampled as a block of its own
 CHUNK = 1 << 13
 #: shortfall below h (m) that schedule_is_safe forgives in a sampled minimum
 SLACK = 1e-3
@@ -32,138 +31,67 @@ def _step(dt) -> float:
     return dt
 
 
-def _flight(m: Mission):
-    """(ox, oy, vx, vy, duration) of a mission, unpacked once per call."""
-    v = m.velocity
-    return m.origin.x, m.origin.y, v.x, v.y, m.duration
+def _flights(missions) -> np.ndarray:
+    """Each mission's ox, oy, vx, vy and duration, as a (5, len(missions)) array."""
+    rows = []
+    for m in missions:
+        v = m.velocity
+        rows.append((m.origin.x, m.origin.y, v.x, v.y, m.duration))
+    return np.array(rows, dtype=np.float64).reshape(-1, 5).T
 
 
-def _ternary_min(ux, uy, cx, cy, lo, hi):
-    """Minimize |U t + C|^2 on [lo, hi] by ternary search (function evals only)."""
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        r1x = ux * m1 + cx
-        r1y = uy * m1 + cy
-        r2x = ux * m2 + cx
-        r2y = uy * m2 + cy
-        if r1x * r1x + r1y * r1y < r2x * r2x + r2y * r2y:
-            hi = m2
-        else:
-            lo = m1
-    t = 0.5 * (lo + hi)
-    rx = ux * t + cx
-    ry = uy * t + cy
-    return rx * rx + ry * ry
+def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
+    """Sampled min squared gap of flights a, b (as from _flights) departing
+    ta, tb: one row per element of the broadcast arrays, inf where the
+    co-airborne window is empty.
 
-
-def _sampled_sq(a, ta, b, tb, dt, refine):
-    """Sampled min squared gap of flights a, b (as from _flight) departing ta, tb.
-
-    The co-airborne window is sampled at step dt plus its far end; with
-    refine=True the sampled argmin is polished by a local ternary search.
-    """
-    aox, aoy, avx, avy, adur = a
-    box, boy, bvx, bvy, bdur = b
-    w0 = max(ta, tb)
-    w1 = min(ta + adur, tb + bdur)
-    if w0 > w1:
-        return np.inf
-    ux = avx - bvx
-    uy = avy - bvy
-    cx = aox - avx * ta - box + bvx * tb
-    cy = aoy - avy * ta - boy + bvy * tb
-    # w0, w0 + dt, ... and then w1; argmin keeps the first of equal minima
-    t = w0 + np.arange(int((w1 - w0) / dt) + 2) * dt
-    t[-1] = w1
-    rx = ux * t + cx
-    ry = uy * t + cy
-    d = rx * rx + ry * ry
-    k = int(np.argmin(d))
-    best = float(d[k])
-    if refine:
-        tbest = float(t[k])
-        lo = max(w0, tbest - dt)
-        hi = min(w1, tbest + dt)
-        r = _ternary_min(ux, uy, cx, cy, lo, hi)
-        if r < best:
-            best = r
-    return best
-
-
-def sampled_min_separation_sq(a: Mission, t_dep_a: float,
-                              b: Mission, t_dep_b: float,
-                              dt: float, refine: bool = False) -> float:
-    """Min squared co-airborne distance by sampling at step dt.
-
-    Plain sampling overestimates the true minimum by at most the grid gap;
-    refine=True polishes the argmin neighborhood by ternary search, which
-    makes the estimate essentially exact for these quadratic-in-time gaps.
-    Returns inf when the airborne windows do not overlap. Every entry point
-    raises ValueError unless dt is finite and > 0.
-    """
-    return float(_sampled_sq(_flight(a), t_dep_a, _flight(b), t_dep_b,
-                             _step(dt), refine))
-
-
-def sampled_min_separation(a: Mission, t_dep_a: float,
-                           b: Mission, t_dep_b: float,
-                           dt: float, refine: bool = False) -> float:
-    d = sampled_min_separation_sq(a, t_dep_a, b, t_dep_b, dt, refine)
-    return float(np.sqrt(d))
-
-
-def delta_grid_min_sep_sq(first: Mission, second: Mission,
-                          deltas: np.ndarray, dt: float,
-                          refine: bool = True) -> np.ndarray:
-    """Oracle min squared separation for each relative delay in `deltas`.
-
-    Element for element equal to sampled_min_separation_sq(first, 0.0,
-    second, delta, dt, refine): every window is sampled and polished with the
-    float operations of _sampled_sq, in array steps over all delays at once.
+    A row's window is sampled at step dt plus its far end; with refine=True
+    the sampled argmin is polished by a local ternary search.
     """
     dt = _step(dt)
-    aox, aoy, avx, avy, adur = _flight(first)
-    box, boy, bvx, bvy, bdur = _flight(second)
-    deltas = np.asarray(deltas, dtype=np.float64)
-    out = np.full(deltas.shape, np.inf)
-    ta = 0.0
-    tb = deltas.ravel()
+    ta = np.asarray(ta, dtype=np.float64)
+    tb = np.asarray(tb, dtype=np.float64)
+    if not (np.isfinite(ta).all() and np.isfinite(tb).all()):
+        raise ValueError("departure times and delays must be finite")
+    aox, aoy, avx, avy, adur = a
+    box, boy, bvx, bvy, bdur = b
     # max(ta, tb) and min(ta + adur, tb + bdur), keeping Python's ties and ±0
     w0 = np.where(tb > ta, tb, ta)
     w1 = np.where(tb + bdur < ta + adur, tb + bdur, ta + adur)
-    rows = np.flatnonzero(~(w0 > w1))
-    if rows.size == 0:
-        return out
-    tb, w0, w1 = tb[rows], w0[rows], w1[rows]
     ux = avx - bvx
     uy = avy - bvy
     cx = aox - avx * ta - box + bvx * tb
     cy = aoy - avy * ta - boy + bvy * tb
-    # row i samples w0 + j*dt for j < n[i] - 1 and then w1; +inf pads the rest
-    n = ((w1 - w0) / dt).astype(np.int64) + 2
+    ux, uy, cx, cy, w0, w1 = np.broadcast_arrays(ux, uy, cx, cy, w0, w1)
+    out = np.full(w0.shape, np.inf)
+    rows = np.flatnonzero(~(w0 > w1))
+    # row i samples w0 + j*dt for j < n[i] - 1 and then w1; +inf pads the
+    # rest of its block. Widest rows first, so a block's first row is its
+    # widest and sets how many rows fit in CHUNK.
+    n = ((w1[rows] - w0[rows]) / dt).astype(np.int64) + 2
+    by_width = np.argsort(-n)
+    rows, n = rows[by_width], n[by_width]
+    ux, uy, cx, cy, w0, w1 = (x[rows] for x in (ux, uy, cx, cy, w0, w1))
     best = np.empty(rows.size)
     tbest = np.empty(rows.size)
-    step = max(1, CHUNK // int(n.max()))
-    for s in range(0, rows.size, step):
-        blk = slice(s, s + step)
+    s = 0
+    while s < rows.size:
+        blk = slice(s, s + max(1, CHUNK // int(n[s])))
         nb = n[blk]
-        j = np.arange(nb.max())
+        j = np.arange(nb[0])
         t = w0[blk, None] + j * dt
         i = np.arange(nb.size)
         t[i, nb - 1] = w1[blk]
-        rx = ux * t + cx[blk, None]
-        ry = uy * t + cy[blk, None]
+        rx = ux[blk, None] * t + cx[blk, None]
+        ry = uy[blk, None] * t + cy[blk, None]
         d = rx * rx + ry * ry
         d[j >= nb[:, None]] = np.inf
-        k = np.argmin(d, axis=1)
+        k = np.argmin(d, axis=1)  # the first of equal minima
         best[blk] = d[i, k]
         tbest[blk] = t[i, k]
+        s = blk.stop
     if refine:
-        # _ternary_min on every row at once; a row stops once hi - lo <= 1e-12
+        # ternary search on every row at once; a row stops once hi - lo <= 1e-12
         lo = tbest - dt
         lo = np.where(lo > w0, lo, w0)
         hi = tbest + dt
@@ -187,8 +115,47 @@ def delta_grid_min_sep_sq(first: Mission, second: Mission,
         ry = uy * t + cy
         r = rx * rx + ry * ry
         best = np.where(r < best, r, best)
-    out.ravel()[rows] = best
+    out[rows] = best
     return out
+
+
+def pairs_min_sep_sq(firsts, t_firsts, seconds, t_seconds,
+                     dt: float, refine: bool = False) -> np.ndarray:
+    """Min squared co-airborne distance of each row by sampling at step dt.
+
+    Row i is firsts[i] departing t_firsts[i] against seconds[i] departing
+    t_seconds[i]; the four sequences must have one length. Plain sampling
+    overestimates the true minimum by at most the grid gap; refine=True
+    polishes the argmin neighborhood by ternary search, which makes the
+    estimate essentially exact for these quadratic-in-time gaps. A row whose
+    airborne windows do not overlap gives inf. Every entry point raises
+    ValueError unless dt is finite and > 0 and every time is finite.
+    """
+    if not len(firsts) == len(t_firsts) == len(seconds) == len(t_seconds):
+        raise ValueError("missions and departure times differ in length")
+    return _sample(_flights(firsts), t_firsts, _flights(seconds), t_seconds,
+                   dt, refine)
+
+
+def sampled_min_separation_sq(a: Mission, t_dep_a: float,
+                              b: Mission, t_dep_b: float,
+                              dt: float, refine: bool = False) -> float:
+    """pairs_min_sep_sq of the one row (a, t_dep_a, b, t_dep_b)."""
+    return float(pairs_min_sep_sq([a], [t_dep_a], [b], [t_dep_b], dt, refine)[0])
+
+
+def delta_grid_min_sep_sq(first: Mission, second: Mission,
+                          deltas: np.ndarray, dt: float,
+                          refine: bool = True) -> np.ndarray:
+    """Oracle min squared separation for each relative delay in `deltas`.
+
+    Element for element equal to sampled_min_separation_sq(first, 0.0,
+    second, delta, dt, refine), as a float64 array of the shape of deltas.
+    """
+    deltas = np.asarray(deltas, dtype=np.float64)
+    seps = _sample(_flights([first]), 0.0, _flights([second]), deltas.ravel(),
+                   dt, refine)
+    return seps.reshape(deltas.shape)
 
 
 def schedule_pair_min_seps(missions, departures, dt: float,
@@ -197,10 +164,13 @@ def schedule_pair_min_seps(missions, departures, dt: float,
 
     Output is row-major over pairs i<j in mission-list order.
     """
-    dt = _step(dt)
-    legs = zip(map(_flight, missions), map(float, departures), strict=True)
-    return np.sqrt(np.array([_sampled_sq(a, ta, b, tb, dt, refine)
-                             for (a, ta), (b, tb) in combinations(legs, 2)]))
+    departures = np.asarray(departures, dtype=np.float64)
+    if len(missions) != len(departures):
+        raise ValueError("missions and departure times differ in length")
+    f = _flights(missions)
+    i, j = np.triu_indices(len(missions), 1)
+    return np.sqrt(_sample(f[:, i], departures[i], f[:, j], departures[j],
+                           dt, refine))
 
 
 def schedule_is_safe(missions, departures, h: float, dt: float) -> bool:

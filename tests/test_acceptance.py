@@ -86,22 +86,8 @@ def test_ac2_analytic_vs_oracle():
     dt = 0.05
     boundary_band = 2.0 * CFG.tol
     disagreements = 0
-    max_endpoint_err = 0.0
     bounded = 0
-
-    def oracle_conflict(a, b, delta):
-        return oracle.sampled_min_separation_sq(a, 0.0, b, delta, dt,
-                                                refine=True) < H * H
-
-    def oracle_boundary(a, b, safe, conf):
-        for _ in range(50):
-            mid = 0.5 * (safe + conf)
-            if oracle_conflict(a, b, mid):
-                conf = mid
-            else:
-                safe = mid
-        return 0.5 * (safe + conf)
-
+    boundaries = []  # (a, b, safe, conf, analytic endpoint)
     for a, b in pair_stream(20260810, n_pairs):
         fi = forbidden_interval(a, b, CFG)
         deltas = np.arange(-b.duration - 0.5, a.duration + 0.5, grid_step)
@@ -126,10 +112,19 @@ def test_ac2_analytic_vs_oracle():
         bounded += 1
         lo_conf = float(deltas[idx[0]])
         hi_conf = float(deltas[idx[-1]])
-        lo_oracle = oracle_boundary(a, b, lo_conf - grid_step, lo_conf)
-        hi_oracle = oracle_boundary(a, b, hi_conf + grid_step, hi_conf)
-        max_endpoint_err = max(max_endpoint_err,
-                               abs(lo_oracle - fi.lo), abs(hi_oracle - fi.hi))
+        boundaries += [(a, b, lo_conf - grid_step, lo_conf, fi.lo),
+                       (a, b, hi_conf + grid_step, hi_conf, fi.hi)]
+    # bisect every boundary at once: each round is one oracle call over all
+    firsts, seconds, safe, conf, analytic = zip(*boundaries)
+    safe, conf = np.array(safe), np.array(conf)
+    zeros = np.zeros(len(boundaries))
+    for _ in range(50):
+        mid = 0.5 * (safe + conf)
+        hit = oracle.pairs_min_sep_sq(firsts, zeros, seconds, mid, dt,
+                                      refine=True) < H * H
+        conf = np.where(hit, mid, conf)
+        safe = np.where(hit, safe, mid)
+    max_endpoint_err = float(np.max(np.abs(0.5 * (safe + conf) - analytic)))
     ok = disagreements == 0 and max_endpoint_err <= 1e-3
     report("AC2 analytic-vs-oracle equivalence", ok,
            f"{n_pairs} pairs ({bounded} bounded): {disagreements} grid "
@@ -140,8 +135,7 @@ def test_ac2_analytic_vs_oracle():
 @pytest.mark.acceptance
 def test_ac3_binding_constraints_are_tangent(safety_sweep):
     """Binding pairs pass tangentially: separation in [h - 1e-3, h + 0.05]."""
-    lo_seen, hi_seen = math.inf, -math.inf
-    checked = 0
+    rows = []
     for missions, identity, best in safety_sweep:
         for schedule in (identity, best):
             ms = _ordered(missions, schedule.order)
@@ -150,11 +144,10 @@ def test_ac3_binding_constraints_are_tangent(safety_sweep):
             for j, bound in enumerate(schedule.bindings):
                 for mid in bound:
                     i = pos[mid]
-                    sep = oracle.sampled_min_separation(
-                        ms[i], deps[i], ms[j], deps[j], dt=0.01)
-                    lo_seen = min(lo_seen, sep)
-                    hi_seen = max(hi_seen, sep)
-                    checked += 1
+                    rows.append((ms[i], deps[i], ms[j], deps[j]))
+    seps = np.sqrt(oracle.pairs_min_sep_sq(*zip(*rows), dt=0.01))
+    checked = len(seps)
+    lo_seen, hi_seen = float(seps.min()), float(seps.max())
     ok = checked > 500 and lo_seen >= H - 1e-3 and hi_seen <= H + 0.05
     report("AC3 tangency of binding constraints", ok,
            f"{checked} binding pairs; separation range "

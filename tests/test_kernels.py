@@ -1,11 +1,13 @@
 """Checks of the hot paths through the public entry points: the oracle's
-delay grid against its per-pair sampler, its checks of the sampling step,
-clamped-window edge cases, and the pair solver's tangency, corner and sliver
-cases and certified endpoints, and the oracle's independence from the
-solver's code."""
+outputs pinned bit for bit, its checks of the sampling step, the departure
+times and the input lengths, clamped-window edge cases, and the pair solver's
+tangency, corner and sliver cases and certified endpoints, and the oracle's
+independence from the solver's code."""
 
 import ast
+import hashlib
 import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -15,35 +17,53 @@ import deconflict
 from deconflict import oracle
 from deconflict.kinematics import (IntervalKind, Mission, SeparationConfig, Vec2,
                                    forbidden_interval, min_separation_sq)
-from helpers import pair_stream
+from helpers import pair_stream, random_instance
 
 CFG = SeparationConfig(h=1.5)
 
+# sha256 of the oracle's float64 output bytes on the fixed inputs below, as
+# the per-window and per-delay-grid samplers gave them before the one row
+# sampler replaced both; a single changed bit fails these tests
+PAIR_GRID_PIN = "263d78b87eeb4ca719aede5ffc1bacf8a71a2ffc8d1168d064abe8fa4a5f550e"
+EDGE_GRID_PINS = {
+    True: "a275bcf05e924fed3557f290319739e4583c357d10ead7734f0c2349f4b2c7e6",
+    False: "7bb25b8257228795782499c7345fa3db39bebd2ec1bed20a8f9e87d7accac3e8",
+}
+SCHEDULE_PINS = {
+    (0.01, False): "e66ab366d8b99e1ce777b453b26e22d48410670b258919099d4c4b753de6e0e5",
+    (0.01, True): "7c8d4ed5c4dbdf7d0b0b1ee62af9c2b6736ac010e5961c32921d6a09e841e315",
+    (0.001, False): "fac06e4d2e4c7b92f3e5abe0dc7776564c8573603cfde1edff7d2c0acf376b07",
+    (0.001, True): "a074e5b16efa2a673b98651092a05cc26a382c18158ec94e6afc8aea2bbc8e86",
+}
 
-def test_grid_kernel_matches_scalar_calls():
+
+def _pin(outputs):
+    h = hashlib.sha256()
+    for x in outputs:
+        h.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_grid_kernel_output_is_pinned():
     deltas = np.linspace(-6.0, 6.0, 25)
-    for a, b in pair_stream(32, 20):
-        grid = oracle.delta_grid_min_sep_sq(a, b, deltas, 0.02, True)
-        for d, g in zip(deltas, grid):
-            assert g == oracle.sampled_min_separation_sq(a, 0.0, b, float(d), 0.02, True)
+    assert _pin(oracle.delta_grid_min_sep_sq(a, b, deltas, 0.02, True)
+                for a, b in pair_stream(32, 20)) == PAIR_GRID_PIN
 
 
-def _assert_grid_matches_scalar(a, b, deltas, dt, refine):
+def _grid(a, b, deltas, dt, refine):
     grid = oracle.delta_grid_min_sep_sq(a, b, deltas, dt, refine)
-    assert grid.shape == deltas.shape
-    for d, g in zip(deltas.tolist(), grid.tolist()):
-        assert g == oracle.sampled_min_separation_sq(a, 0.0, b, d, dt, refine), d
+    assert grid.shape == deltas.shape and grid.dtype == np.float64
     return grid
 
 
-@pytest.mark.parametrize("refine", [True, False])
-def test_grid_kernel_matches_scalar_calls_on_edge_grids(refine):
+def _edge_grids(refine):
+    grids = []
     for a, b in pair_stream(36, 6):
         # past both ends the windows are disjoint; -dur_b and dur_a give
         # zero-length windows, and the grid also holds 0.0 and -0.0
         edges = np.array([-b.duration - 0.5, -b.duration, -0.0, 0.0,
                           a.duration, a.duration + 0.5])
-        grid = _assert_grid_matches_scalar(a, b, edges, 0.02, refine)
+        grid = _grid(a, b, edges, 0.02, refine)
         assert grid[0] == grid[-1] == math.inf
         assert np.isfinite(grid[1:-1]).all()
         # a fine step: the grid's samples fill several CHUNK blocks
@@ -51,12 +71,40 @@ def test_grid_kernel_matches_scalar_calls_on_edge_grids(refine):
         windows = (np.minimum(a.duration, deltas + b.duration)
                    - np.maximum(0.0, deltas))
         assert np.sum(windows[windows >= 0.0] / 0.001) > 2 * oracle.CHUNK
-        _assert_grid_matches_scalar(a, b, deltas, 0.001, refine)
+        grids += [grid, _grid(a, b, deltas, 0.001, refine)]
     for x0 in (2.5, 7.25):
         # perfbench's fine grid across a sliver pair's few-millisecond conflict
         a, b = _sliver(x0, 2e-6)
         fine = b.destination.x - b.duration + np.linspace(-0.02, 0.02, 401)
-        _assert_grid_matches_scalar(a, b, fine, 0.05, refine)
+        grids.append(_grid(a, b, fine, 0.05, refine))
+    return grids
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_edge_grids_are_pinned(refine):
+    assert _pin(_edge_grids(refine)) == EDGE_GRID_PINS[refine]
+
+
+def _schedules():
+    """100 seeded 4-7-agent schedules with departures in [0, 15) s."""
+    rng = np.random.default_rng(39)
+    for k in range(100):
+        missions = random_instance(rng, 4 + k % 4)
+        yield missions, rng.uniform(0.0, 15.0, len(missions))
+
+
+@pytest.mark.parametrize("dt, refine", list(SCHEDULE_PINS))
+def test_schedule_pair_seps_are_pinned(dt, refine):
+    seps = [oracle.schedule_pair_min_seps(missions, deps, dt, refine)
+            for missions, deps in _schedules()]
+    assert _pin(seps) == SCHEDULE_PINS[dt, refine]
+    # the same rows through the row entry and the one-window entry
+    missions, deps = next(_schedules())
+    first, second = zip(*combinations(zip(missions, deps.tolist()), 2))
+    sq = oracle.pairs_min_sep_sq(*zip(*first), *zip(*second), dt, refine)
+    assert np.sqrt(sq).tolist() == seps[0].tolist()
+    assert sq.tolist() == [oracle.sampled_min_separation_sq(a, ta, b, tb, dt, refine)
+                           for (a, ta), (b, tb) in zip(first, second)]
 
 
 def test_grid_kernel_returns_float64_of_input_shape():
@@ -77,11 +125,42 @@ def test_oracle_rejects_unusable_dt(dt):
     with pytest.raises(ValueError, match="dt"):
         oracle.sampled_min_separation_sq(a, 0.0, b, 0.5, dt)
     with pytest.raises(ValueError, match="dt"):
+        oracle.pairs_min_sep_sq([a], [0.0], [b], [0.5], dt)
+    with pytest.raises(ValueError, match="dt"):
         oracle.delta_grid_min_sep_sq(a, b, np.linspace(-1.0, 1.0, 5), dt)
     with pytest.raises(ValueError, match="dt"):
         oracle.schedule_pair_min_seps([a, b], [0.0, 0.5], dt)
     with pytest.raises(ValueError, match="dt"):
         oracle.schedule_is_safe([a], [0.0], 1.5, dt)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_oracle_rejects_non_finite_times(bad):
+    # a nan departure or delay would make the sampled minimum nan, which a
+    # `sep < h*h` test reads as no conflict
+    a, b = next(pair_stream(38, 1))
+    with pytest.raises(ValueError, match="finite"):
+        oracle.sampled_min_separation_sq(a, 0.0, b, bad, 0.05)
+    with pytest.raises(ValueError, match="finite"):
+        oracle.sampled_min_separation_sq(a, bad, b, 0.5, 0.05)
+    with pytest.raises(ValueError, match="finite"):
+        oracle.pairs_min_sep_sq([a, b], [0.0, 0.0], [b, a], [0.5, bad], 0.05)
+    with pytest.raises(ValueError, match="finite"):
+        oracle.delta_grid_min_sep_sq(a, b, np.array([-1.0, bad, 1.0]), 0.05)
+    with pytest.raises(ValueError, match="finite"):
+        oracle.schedule_pair_min_seps([a, b], [0.0, bad], 0.05)
+    with pytest.raises(ValueError, match="finite"):
+        oracle.schedule_is_safe([a, b, a], [bad, 0.5, 1.0], 1.5, 0.05)
+
+
+def test_oracle_rejects_inputs_of_unequal_length():
+    a, b = next(pair_stream(39, 1))
+    with pytest.raises(ValueError):
+        oracle.schedule_pair_min_seps([a, b], [0.0], 0.05)
+    with pytest.raises(ValueError):
+        oracle.schedule_is_safe([a, b], [0.0, 0.5, 1.0], 1.5, 0.05)
+    with pytest.raises(ValueError, match="length"):
+        oracle.pairs_min_sep_sq([a, b], [0.0, 0.0], [b], [0.5, 1.0], 0.05)
 
 
 def test_pair_min_sep_disjoint_windows():

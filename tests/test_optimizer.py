@@ -221,6 +221,24 @@ def assert_search_rows_match(search, rows):
                 schedule.total_delay) == ref[:4]
 
 
+def test_atlanta_schedules_pass_oracle_at_kilometre_scale():
+    # the oracle's formula differs from the solver's, so a tangent pair can
+    # read about one ulp of h below h: gate at h - SLACK, as schedule_is_safe
+    missions = atlanta.load_missions()
+    by_id = {m.id: m for m in missions}
+    for h in range(50, 1001, 50):
+        search = optimize_order(missions, SeparationConfig(h=float(h)))
+        for schedule in (search.best, search.worst):
+            seps = oracle.schedule_pair_min_seps(
+                [by_id[mid] for mid in schedule.order], schedule.departures,
+                dt=0.01, refine=True)
+            assert seps.min() >= h - oracle.SLACK, (h, schedule.order)
+            assert np.isfinite(seps).all()  # every pair is co-airborne
+    # flights of 8-23 min: at dt = 0.01 a long co-airborne window has more
+    # samples than a CHUNK block, so it is sampled as a block of its own
+    assert min(m.duration for m in missions) / 0.01 > oracle.CHUNK
+
+
 def test_order_table_matches_reference_sweep():
     """Every row of the array placement equals the scalar sweep exactly."""
     cases = [(generate_topology(AirspaceConfig(n_agents=n, seed=97 * n + s)),
