@@ -55,6 +55,9 @@ def cmd_solve_pair(args) -> int:
         if mid not in by_id:
             raise UnknownId(f"mission {mid!r} not in scenario "
                             f"(have {sorted(by_id)})")
+    if args.first_id == args.second_id:
+        raise ValueError(f"solve-pair needs two different missions, got "
+                         f"{args.first_id!r} twice")
     first = by_id[args.first_id]
     second = by_id[args.second_id]
     fi = forbidden_interval(first, second, cfg)

@@ -14,7 +14,7 @@ from arrival onward an agent occupies no airspace.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar
 
@@ -58,32 +58,30 @@ class Vec2:
 class Mission:
     """One agent's straight-line flight at constant cruise speed.
 
-    Velocity and flight duration are deterministic functions of the fields:
+    Velocity and flight duration are set once from the fields:
     velocity = speed * unit(destination - origin), duration = length / speed.
+    They take no part in construction, repr, equality or hashing.
     """
     id: str
     origin: Vec2
     destination: Vec2
     speed: float
+    velocity: Vec2 = field(init=False, repr=False, compare=False)
+    duration: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.speed) and self.speed > 0.0):
             raise ValueError(f"mission {self.id!r}: speed must be positive, got {self.speed}")
-        if (self.destination - self.origin).norm_sq() == 0.0:
+        d = self.destination - self.origin
+        if d.norm_sq() == 0.0:
             raise ValueError(f"mission {self.id!r}: origin and destination coincide")
+        length = d.norm()
+        object.__setattr__(self, "velocity", d.scaled(self.speed / length))
+        object.__setattr__(self, "duration", length / self.speed)
 
     @property
     def length(self) -> float:
         return (self.destination - self.origin).norm()
-
-    @property
-    def velocity(self) -> Vec2:
-        d = self.destination - self.origin
-        return d.scaled(self.speed / d.norm())
-
-    @property
-    def duration(self) -> float:
-        return self.length / self.speed
 
     def position(self, t_since_departure: float) -> Vec2:
         """Position at time t after departure (valid on [0, duration])."""
@@ -195,13 +193,25 @@ def cpa_time(rs: RelativeState) -> float:
     return -rs.U.dot(rs.P) / uu
 
 
-def _clamped_min_sq(ux, uy, cx, cy, w0, w1):
-    """Least |U t + C|^2 over t in [w0, w1]; math.inf if the window is empty.
+def min_separation_sq(a: Mission, t_dep_a: float, b: Mission, t_dep_b: float) -> float:
+    """Minimum squared distance over the co-airborne window.
 
-    The quadratic is evaluated at its vertex clamped into the window.
+    The window is [max(departures), min(arrivals)]; the quadratic |R(t)|^2 is
+    evaluated at its vertex clamped into the window. Returns math.inf when
+    the airborne windows do not overlap (no co-flight, no conflict possible).
     """
+    if not (math.isfinite(t_dep_a) and math.isfinite(t_dep_b)):
+        raise ValueError(f"departure times must be finite, got {t_dep_a} and {t_dep_b}")
+    w0 = max(t_dep_a, t_dep_b)
+    w1 = min(t_dep_a + a.duration, t_dep_b + b.duration)
     if w0 > w1:
         return math.inf
+    va = a.velocity
+    vb = b.velocity
+    ux = va.x - vb.x
+    uy = va.y - vb.y
+    cx = a.origin.x - va.x * t_dep_a - b.origin.x + vb.x * t_dep_b
+    cy = a.origin.y - va.y * t_dep_a - b.origin.y + vb.y * t_dep_b
     uu = ux * ux + uy * uy
     # with identical velocities the gap is constant over the window
     tmin = -(ux * cx + uy * cy) / uu if uu > UU_EPS else w0
@@ -211,23 +221,7 @@ def _clamped_min_sq(ux, uy, cx, cy, w0, w1):
         tmin = w1
     rx = ux * tmin + cx
     ry = uy * tmin + cy
-    return rx * rx + ry * ry
-
-
-def min_separation_sq(a: Mission, t_dep_a: float, b: Mission, t_dep_b: float) -> float:
-    """Minimum squared distance over the co-airborne window.
-
-    The window is [max(departures), min(arrivals)]; the quadratic |R(t)|^2 is
-    evaluated at its vertex clamped into the window. Returns math.inf when
-    the airborne windows do not overlap (no co-flight, no conflict possible).
-    """
-    va = a.velocity
-    vb = b.velocity
-    return float(_clamped_min_sq(
-        va.x - vb.x, va.y - vb.y,
-        a.origin.x - va.x * t_dep_a - b.origin.x + vb.x * t_dep_b,
-        a.origin.y - va.y * t_dep_a - b.origin.y + vb.y * t_dep_b,
-        max(t_dep_a, t_dep_b), min(t_dep_a + a.duration, t_dep_b + b.duration)))
+    return float(rx * rx + ry * ry)
 
 
 def forbidden_interval(first: Mission, second: Mission,
@@ -263,12 +257,6 @@ def forbidden_interval(first: Mission, second: Mission,
     p0y = first.origin.y - second.origin.y
     ux = avx - bvx
     uy = avy - bvy
-
-    def gap_sq(delta):
-        """Min squared co-airborne gap when second departs delta after first."""
-        return _clamped_min_sq(ux, uy, p0x + bvx * delta, p0y + bvy * delta,
-                               max(0.0, delta), min(adur, delta + bdur))
-
     ax = avx * adur
     ay = avy * adur
     bx = bvx * bdur
@@ -310,18 +298,18 @@ def forbidden_interval(first: Mission, second: Mission,
         return ForbiddenInterval.empty()
     lo = min(cands)
     hi = max(cands)
-    if lo >= hi or gap_sq(0.5 * (lo + hi)) >= hh:
+    if lo >= hi or min_separation_sq(first, 0.0, second, 0.5 * (lo + hi)) >= hh:
         return ForbiddenInterval.empty()
     # rounding can leave an endpoint a few ulps inside the span; steps start
     # at one ulp of the durations, since near delta = 0 one ulp of the
     # endpoint itself is too small to change the separation
     first_step = math.ulp(max(adur, bdur))
     step = first_step
-    while gap_sq(lo) < hh:
+    while min_separation_sq(first, 0.0, second, lo) < hh:
         lo -= step
         step += step
     step = first_step
-    while gap_sq(hi) < hh:
+    while min_separation_sq(first, 0.0, second, hi) < hh:
         hi += step
         step += step
     return ForbiddenInterval.bounded(float(lo), float(hi))

@@ -62,6 +62,12 @@ def pair_stream(seed: int, n: int):
             yield random_pair(rng, "generic")
 
 
+def sliver_pair(x0: float, eps: float, h: float = 1.5):
+    """a crosses x0 on the x axis; b flies down x = x0 and stops h - eps from it."""
+    return (Mission("a", Vec2(0.0, 0.0), Vec2(10.0, 0.0), 1.0),
+            Mission("b", Vec2(x0, 20.0), Vec2(x0, h - eps), 1.0))
+
+
 def random_instance(rng: np.random.Generator, n: int) -> list:
     return [random_mission(rng, f"M{i + 1}") for i in range(n)]
 

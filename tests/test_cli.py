@@ -77,6 +77,14 @@ def test_solve_pair_unknown_id_exits_2(scenario_path, capsys):
     assert "zz" in capsys.readouterr().err
 
 
+def test_solve_pair_same_mission_twice_exits_2(scenario_path, capsys):
+    rc = cli.main(["solve-pair", "--scenario", scenario_path(CROSSING), "a", "a"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "two different missions" in captured.err
+
+
 def test_schedule_command(scenario_path, tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = cli.main(["schedule", "--scenario", scenario_path(CROSSING),

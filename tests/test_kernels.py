@@ -17,7 +17,7 @@ import deconflict
 from deconflict import oracle
 from deconflict.kinematics import (IntervalKind, Mission, SeparationConfig, Vec2,
                                    forbidden_interval, min_separation_sq)
-from helpers import pair_stream, random_instance
+from helpers import pair_stream, random_instance, sliver_pair
 
 CFG = SeparationConfig(h=1.5)
 
@@ -74,7 +74,7 @@ def _edge_grids(refine):
         grids += [grid, _grid(a, b, deltas, 0.001, refine)]
     for x0 in (2.5, 7.25):
         # perfbench's fine grid across a sliver pair's few-millisecond conflict
-        a, b = _sliver(x0, 2e-6)
+        a, b = sliver_pair(x0, 2e-6)
         fine = b.destination.x - b.duration + np.linspace(-0.02, 0.02, 401)
         grids.append(_grid(a, b, fine, 0.05, refine))
     return grids
@@ -195,12 +195,6 @@ def test_forbidden_core_corner_conflict():
     assert 10.0 < fi.hi <= 10.0 + 1e-9
 
 
-def _sliver(x0, eps, h=1.5):
-    """a crosses x0 on the x axis; b flies down x = x0 and stops h - eps from it."""
-    return (Mission("a", Vec2(0.0, 0.0), Vec2(10.0, 0.0), 1.0),
-            Mission("b", Vec2(x0, 20.0), Vec2(x0, h - eps), 1.0))
-
-
 def test_sliver_conflicts_are_bounded():
     # conflicts only for a few milliseconds of delay around x0 - dur_b, as b
     # arrives just inside a's buffer while a passes under it
@@ -208,7 +202,7 @@ def test_sliver_conflicts_are_bounded():
     cfg = SeparationConfig(h=1.5)
     hh = cfg.h * cfg.h
     for _ in range(40):
-        a, b = _sliver(rng.uniform(2.0, 8.0), rng.uniform(1e-6, 3e-6))
+        a, b = sliver_pair(rng.uniform(2.0, 8.0), rng.uniform(1e-6, 3e-6))
         fi = forbidden_interval(a, b, cfg)
         assert fi.kind is IntervalKind.BOUNDED
         assert min_separation_sq(a, 0.0, b, fi.lo) >= hh
@@ -223,7 +217,7 @@ def test_sliver_tangent_limit_is_empty():
     rng = np.random.default_rng(607)
     cfg = SeparationConfig(h=1.5)
     for x0 in rng.uniform(2.0, 8.0, 40):
-        assert forbidden_interval(*_sliver(x0, 0.0), cfg).kind is IntervalKind.EMPTY
+        assert forbidden_interval(*sliver_pair(x0, 0.0), cfg).kind is IntervalKind.EMPTY
 
 
 def test_forbidden_core_endpoints_certified_safe():

@@ -1,18 +1,27 @@
 import dataclasses
+import hashlib
 import math
+import pickle
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deconflict import oracle
+from deconflict import atlanta, oracle
 from deconflict.errors import DegenerateRelativeVelocity
 from deconflict.kinematics import (ForbiddenInterval, IntervalKind, Mission,
                                    SeparationConfig, Vec2, cpa_time,
                                    forbidden_interval, min_separation_sq,
                                    relative_state)
-from helpers import pair_stream, random_pair
+from helpers import pair_stream, random_pair, sliver_pair
+
+# sha256 over the pairs of _pinned_pairs of forbidden_interval's
+# (kind, lo.hex(), hi.hex()) in both orders and of
+# min_separation_sq(a, 0.3, b, 1.7).hex(), as the solver gave them while it
+# kept a private copy of the clamped-gap code; one changed bit fails the pin
+SOLVER_PIN = "4e8ff5c668e6db6f32db41cdfbbca5ebe01d68ca2bcddd54e0fe95f112599ee1"
 
 ROOT2 = math.sqrt(2.0)
 
@@ -40,6 +49,27 @@ class TestMission:
         assert v.y == pytest.approx(2.0)
         p = m.position(1.0)
         assert (p.x, p.y) == (pytest.approx(1.5), pytest.approx(2.0))
+        # velocity and duration are set once from the fields, bit for bit
+        # as the formulas give them, and take no part in repr, == or hash
+        for a, b in pair_stream(55, 40):
+            for m in (a, b):
+                d = m.destination - m.origin
+                assert m.velocity == d.scaled(m.speed / d.norm())
+                assert m.duration == d.norm() / m.speed
+        m = Mission("m", Vec2(1.0, 2.0), Vec2(4.0, 6.0), 2.5)
+        assert repr(m) == ("Mission(id='m', origin=Vec2(x=1.0, y=2.0), "
+                           "destination=Vec2(x=4.0, y=6.0), speed=2.5)")
+        assert [f.name for f in dataclasses.fields(m) if f.compare] \
+            == ["id", "origin", "destination", "speed"]
+        assert m == Mission("m", Vec2(1.0, 2.0), Vec2(4.0, 6.0), 2.5)
+        assert hash(m) == hash(Mission("m", Vec2(1.0, 2.0), Vec2(4.0, 6.0), 2.5))
+        faster = dataclasses.replace(m, speed=5.0)
+        assert (faster.velocity, faster.duration) == (Vec2(3.0, 4.0), 1.0)
+        assert (m.velocity, m.duration) == (Vec2(1.5, 2.0), 2.0)
+        copy = pickle.loads(pickle.dumps(m))
+        assert (copy, copy.velocity, copy.duration) == (m, m.velocity, m.duration)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.duration = 1.0
 
     def test_rejects_bad_speed(self):
         with pytest.raises(ValueError):
@@ -147,6 +177,14 @@ class TestMinSeparationSq:
     def test_disjoint_windows_sentinel(self, crossing_pair):
         a, b = crossing_pair
         assert min_separation_sq(a, 0.0, b, a.duration + 1.0) == math.inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_departure_times(self, crossing_pair, bad):
+        # a nan gap would read as no conflict in sep < h*h
+        a, b = crossing_pair
+        for times in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                min_separation_sq(a, times[0], b, times[1])
 
     def test_depends_only_on_delay_difference(self):
         for a, b in pair_stream(77, 60):
@@ -256,6 +294,33 @@ class TestForbiddenInterval:
         assert fi.width == 3.0
         assert fi.shifted(10.0) == (9.0, 12.0)
         assert ForbiddenInterval.empty().width == 0.0
+
+
+def _pinned_pairs():
+    """Box pairs with their equal-velocity and same-track members, the
+    sliver pairs of test_kernels, and the Atlanta pairs at h = 50 and 1000."""
+    unit = SeparationConfig(h=1.5)
+    cases = [(a, b, unit) for a, b in pair_stream(20260810, 400)]
+    rng = np.random.default_rng(606)
+    cases += [(*sliver_pair(rng.uniform(2.0, 8.0), rng.uniform(1e-6, 3e-6)), unit)
+              for _ in range(40)]
+    cases += [(*sliver_pair(x0, 0.0), unit)
+              for x0 in np.random.default_rng(607).uniform(2.0, 8.0, 40)]
+    cases += [(*sliver_pair(x0, 2e-6), unit) for x0 in (2.5, 7.25)]
+    missions = atlanta.load_missions()
+    cases += [(a, b, SeparationConfig(h=h)) for h in (50.0, 1000.0)
+              for a, b in combinations(missions, 2)]
+    return cases
+
+
+def test_solver_output_is_pinned():
+    digest = hashlib.sha256()
+    for a, b, cfg in _pinned_pairs():
+        for first, second in ((a, b), (b, a)):
+            fi = forbidden_interval(first, second, cfg)
+            digest.update(f"{fi.kind.value} {fi.lo.hex()} {fi.hi.hex()};".encode())
+        digest.update(f"{min_separation_sq(a, 0.3, b, 1.7).hex()};".encode())
+    assert digest.hexdigest() == SOLVER_PIN
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
