@@ -5,6 +5,7 @@ given as lat/lon and mph in the packaged geodetic scenario. The separation
 radius is a free parameter of the study; the runner takes it explicitly.
 """
 
+import functools
 import json
 from importlib import resources
 
@@ -21,10 +22,19 @@ ROUTES = {
 }
 
 
-def load_missions():
-    """The four Atlanta missions, in meters and m/s."""
+@functools.cache
+def _missions():
+    """The bundled scenario's missions, read and parsed once per process."""
     text = resources.files("deconflict.data").joinpath("atlanta.json").read_text()
-    return parse_scenario(json.loads(text))[0]
+    return tuple(parse_scenario(json.loads(text))[0])
+
+
+def load_missions():
+    """The four Atlanta missions, in meters and m/s, as a new list.
+
+    Missions are frozen, so every list shares the ones parsed first.
+    """
+    return list(_missions())
 
 
 def case_study(h: float) -> dict:

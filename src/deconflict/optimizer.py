@@ -7,7 +7,8 @@ import numpy as np
 
 from .errors import TooManyAgents
 from .kinematics import SeparationConfig, forbidden_interval
-from .scheduler import Schedule, order_tree, pair_arrays, schedules, total_of
+from .scheduler import (Schedule, leaf_departures, lexicographic_orders,
+                        order_tree, pair_arrays, schedules)
 # unused here, but perfbench/spans.py patches optimizer.greedy_schedule
 from .scheduler import greedy_schedule  # noqa: F401
 
@@ -47,7 +48,8 @@ class SearchResult:
 
 
 def _sorted_tree(missions, cfg, pair_solver, cap):
-    """Sorted mission ids, their hi span array, and order_tree over them.
+    """Sorted mission ids, their hi span array, and order_tree's totals,
+    leaf states and leaf index over them.
 
     Pairwise forbidden spans depend only on the mission set, so they are
     computed once and shared across all orders. More than cap missions
@@ -66,16 +68,18 @@ def _sorted_tree(missions, cfg, pair_solver, cap):
 
 def order_averages(missions, cfg: SeparationConfig) -> np.ndarray:
     """Average delay of every order, as in per_order_table, without its objects."""
-    ids, _, _, deps = _sorted_tree(missions, cfg, forbidden_interval,
-                                   DEFAULT_ORDER_CAP)
-    return total_of(deps.T) / len(ids)
+    ids, _, totals, _, _ = _sorted_tree(missions, cfg, forbidden_interval,
+                                        DEFAULT_ORDER_CAP)
+    return totals / len(ids)
 
 
 def per_order_table(missions, cfg: SeparationConfig,
                     cap: int = DEFAULT_ORDER_CAP,
                     pair_solver=forbidden_interval) -> list[Schedule]:
     """Evaluate every permutation; output in lexicographic order of mission ids."""
-    return schedules(*_sorted_tree(missions, cfg, pair_solver, cap))
+    ids, hi, _, leaves, leaf = _sorted_tree(missions, cfg, pair_solver, cap)
+    return schedules(ids, hi, lexicographic_orders(len(ids)),
+                     leaf_departures(leaves, leaf, slice(None)))
 
 
 def optimize_order(missions, cfg: SeparationConfig) -> SearchResult:
@@ -85,15 +89,17 @@ def optimize_order(missions, cfg: SeparationConfig) -> SearchResult:
     total m all tie; best is the lexicographically first of them, and worst
     is the first order within the same band of the greatest total.
     """
-    ids, hi, orders, deps = _sorted_tree(missions, cfg, forbidden_interval,
-                                         DEFAULT_ORDER_CAP)
-    totals = total_of(deps.T)
+    ids, hi, totals, leaves, leaf = _sorted_tree(missions, cfg,
+                                                 forbidden_interval,
+                                                 DEFAULT_ORDER_CAP)
+    orders = lexicographic_orders(len(ids))
     low, high = totals.min(), totals.max()
     tied = np.flatnonzero(totals <= low + TIE_TOL * (1.0 + abs(low)))
     best = tied[0]
     worst = np.flatnonzero(totals >= high - TIE_TOL * (1.0 + abs(high)))[0]
-    best_schedule, worst_schedule = schedules(ids, hi, orders[[best, worst]],
-                                              deps[[best, worst]])
+    picked = [best, worst]
+    best_schedule, worst_schedule = schedules(
+        ids, hi, orders[picked], leaf_departures(leaves, leaf, picked))
     return SearchResult(best=best_schedule, worst=worst_schedule, ids=ids,
                         orders=orders, totals=totals,
                         optimal_orders=tuple(tuple(ids[i] for i in row)

@@ -164,7 +164,8 @@ def run_monte_carlo(n_agents: int, n_topologies: int, base_seed: int,
     contributes one sample (order_rank = its position in the lexicographic
     permutation table); in "optimal" mode only the best order's average
     delay is recorded. Rejected topologies are logged and reported, never
-    silently dropped.
+    silently dropped. A pool of min(workers, n_topologies) processes is
+    forked when that is two or more; a single topology runs in this process.
     """
     if mode not in ("pooled", "optimal"):
         raise ValueError(f"mode must be 'pooled' or 'optimal', got {mode!r}")
@@ -175,6 +176,7 @@ def run_monte_carlo(n_agents: int, n_topologies: int, base_seed: int,
     jobs = [(AirspaceConfig(n_agents=n_agents, seed=(base_seed ^ k) & _U64,
                             h=h), mode)
             for k in range(n_topologies)]
+    workers = min(workers, n_topologies)
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             raw = pool.map(_topology_job, jobs)

@@ -12,8 +12,10 @@ One array step places one more agent into many states at once. A state
 holds the departure of each agent placed so far and NaN for the others.
 `greedy_schedule` runs the step on a single state per agent; `order_tree`
 runs it once per level of the permutation tree, on the distinct states of
-that level only, to place all N! orders. `schedules` turns chosen rows into
-`Schedule` objects and finds their bindings.
+that level only, to place all N! orders and fold their totals.
+`leaf_departures` reads the departures of chosen rows off their leaf
+states, and `schedules` turns those rows into `Schedule` objects and finds
+their bindings.
 """
 
 import functools
@@ -32,9 +34,9 @@ BINDING_TOL = 1e-9
 def total_of(departures):
     """d0 + d1 + ..., added left to right.
 
-    Works on a sequence of floats and on the columns of a departures array
-    (pass its transpose) alike, with the same float result. sum() is not
-    used because it compensates from Python 3.12 on.
+    order_tree folds its totals in the same order, level by level, so a
+    Schedule's total equals its row's total bit for bit. sum() is not used
+    because it compensates from Python 3.12 on.
     """
     return functools.reduce(operator.add, departures, 0.0)
 
@@ -135,7 +137,7 @@ def place_next(lo, hi, states, nxt, k):
 
 
 def order_tree(lo, hi):
-    """Greedy departures of all n! orders of agents 0..n-1.
+    """Greedy total delay of all n! orders of agents 0..n-1, and their leaves.
 
     The permutation tree is grown one level at a time over states, not
     prefixes: each state gets one child per agent it has not placed, in
@@ -145,30 +147,44 @@ def order_tree(lo, hi):
     equal bit for bit are merged into one state at the levels that place
     the (k+1)-th agent for 2 <= k <= n - 3; the first two levels and the
     last two have too few repeats to pay for the merge. Each prefix of the
-    lexicographic orders keeps the index of its state, and each full order
-    reads its departures off its leaf state. Returns the shared read-only
-    (n!, n) orders and their (n!, n) departures.
+    lexicographic orders keeps the index of its state and its running total,
+    to which every level adds the departure it places: the same left-to-right
+    sum as total_of over the row's departures. Returns the (n!,) totals, the
+    (S, n) leaf states and the (n!,) leaf index of each order, rows in the
+    order of lexicographic_orders(n).
     """
     n = len(lo)
-    orders = lexicographic_orders(n)
     # the first agent of every order departs at t = 0
     states = np.where(np.eye(n, dtype=bool), 0.0, np.nan)
     prefix_state = np.arange(n)
+    totals = np.zeros(n)
     for k in range(1, n):
         parent, nxt = np.nonzero(np.isnan(states))
         children = states[parent]
-        children[np.arange(len(nxt)), nxt] = place_next(lo, hi, children, nxt, k)
+        placed = place_next(lo, hi, children, nxt, k)
+        children[np.arange(len(nxt)), nxt] = placed
         # every state has n - k free agents, so child c of state s, in
         # ascending agent order as the orders list them, is s * (n - k) + c
         prefix_state = (prefix_state[:, None] * (n - k) + np.arange(n - k)).ravel()
+        totals = np.repeat(totals, n - k) + placed[prefix_state]
         if 2 <= k <= n - 3:
             keys = children.view(np.dtype((np.void, children.itemsize * n)))
             keys, merged = np.unique(keys.ravel(), return_inverse=True)
             children = keys.view(np.float64).reshape(-1, n)
             prefix_state = merged[prefix_state]
         states = children
-    # flat index of (leaf state, agent), one row per order in position order
-    return orders, np.take(states, prefix_state[:, None] * n + orders)
+    return totals, states, prefix_state
+
+
+def leaf_departures(leaves, leaf, rows):
+    """Departures (R, n) of the lexicographic orders picked by rows.
+
+    leaves and leaf are order_tree's; rows indexes its orders (an index
+    array or a slice). Position j of a row is the departure of agent
+    orders[r, j] in the row's leaf state.
+    """
+    orders = lexicographic_orders(leaves.shape[1])[rows]
+    return leaves[leaf[rows][:, None], orders]
 
 
 def schedules(ids, hi, orders, deps) -> list[Schedule]:

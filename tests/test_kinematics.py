@@ -323,6 +323,34 @@ def test_solver_output_is_pinned():
     assert digest.hexdigest() == SOLVER_PIN
 
 
+def _scaled(m, space, speed):
+    return Mission(m.id, m.origin.scaled(space), m.destination.scaled(space),
+                   m.speed * speed)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("generic", "equal_velocity", "same_track")),
+       h=st.sampled_from((0.5, 1.5, 3.0)),
+       factors=st.sampled_from(((2.0, 1.0), (1024.0, 1.0), (1.0, 2.0), (2.0, 2.0))))
+def test_power_of_two_scalings_scale_the_span_exactly(seed, kind, h, factors):
+    """Positions and h scaled by f and speeds by g scale lo and hi by f / g.
+
+    Every float operation of the solver then scales by a power of two, so
+    the span's ends follow bit for bit: doubling space, or space by 1024,
+    doubles them or multiplies them by 1024, doubling speeds halves them,
+    and doubling both leaves them as they were.
+    """
+    space, speed = factors
+    a, b = random_pair(np.random.default_rng(seed), kind)
+    base = forbidden_interval(a, b, SeparationConfig(h=h))
+    fi = forbidden_interval(_scaled(a, space, speed), _scaled(b, space, speed),
+                            SeparationConfig(h=h * space))
+    assert fi.kind is base.kind
+    assert fi.lo == base.lo * space / speed
+    assert fi.hi == base.hi * space / speed
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(delta=st.floats(-40.0, 40.0),
        ox=st.floats(0.0, 20.0), oy=st.floats(0.0, 20.0))

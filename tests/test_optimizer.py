@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,12 +16,19 @@ from deconflict.kinematics import (ForbiddenInterval, Mission, SeparationConfig,
 from deconflict.optimizer import (TIE_TOL, optimize_order, order_averages,
                                   per_order_table)
 from deconflict.scenario import AirspaceConfig, generate_topology, run_monte_carlo
-from deconflict.scheduler import (Schedule, greedy_schedule, order_tree,
-                                  pair_arrays, schedules)
+from deconflict.scheduler import (Schedule, greedy_schedule, leaf_departures,
+                                  lexicographic_orders, order_tree, pair_arrays,
+                                  schedules, total_of)
 from helpers import (random_instance, reference_order_table, reference_pairs,
                      reference_row)
 
 ROOT2 = math.sqrt(2.0)
+
+# sha256 over optimize_order's totals bytes and its best and worst rows
+# (order and departures as hex) on the seeded topologies of
+# test_search_output_is_pinned, as the search gave them while it gathered
+# every order's departures into one (N!, N) table; one changed bit fails it
+SEARCH_PIN = "1802fec9050e3c265797119cd602358e59ed0f7e8223880e18cc7be9fbb08dc7"
 
 
 def make_schedule(departures, ids=None):
@@ -283,18 +292,54 @@ def test_order_table_matches_reference_sweep():
                           key=lambda m: m.id)
         ids = tuple(m.id for m in missions)
         lo, hi = pair_arrays(missions, cfg)
-        orders, deps = order_tree(lo, hi)
+        totals, leaves, leaf = order_tree(lo, hi)
+        orders = lexicographic_orders(n)
+        assert totals.shape == leaf.shape == (len(orders),)
         picked = np.sort(rng.choice(len(orders), 2000, replace=False))
         pairs = reference_pairs(missions, cfg, forbidden_interval)
         rows = [reference_row(tuple(ids[i] for i in row), pairs)
                 for row in orders[picked].tolist()]
-        assert table_rows(schedules(ids, hi, orders[picked], deps[picked])) == rows
+        deps = leaf_departures(leaves, leaf, picked)
+        assert table_rows(schedules(ids, hi, orders[picked], deps)) == rows
+        # the folded totals are the left-to-right sums of the rows' departures
+        assert totals[picked].tolist() == total_of(deps.T).tolist()
         assert sum(1 for r in rows for b in r[2] if b) > 0
         search = optimize_order(missions, cfg)
         assert search.totals[picked].tolist() == [r[3] for r in rows]
         for schedule in (search.best, search.worst):
             assert (schedule.order, schedule.departures, schedule.bindings,
                     schedule.total_delay) == reference_row(schedule.order, pairs)[:4]
+
+
+def test_search_output_is_pinned():
+    digest = hashlib.sha256()
+    cfg = SeparationConfig(h=1.5)
+    for n in range(1, 10):
+        for seed in range(3 if n < 9 else 1):
+            search = optimize_order(
+                generate_topology(AirspaceConfig(n_agents=n, seed=1009 * n + seed)),
+                cfg)
+            digest.update(search.totals.tobytes())
+            for s in (search.best, search.worst):
+                digest.update(f"{s.order} {[d.hex() for d in s.departures]};".encode())
+    assert digest.hexdigest() == SEARCH_PIN
+
+
+def test_nine_agent_search_builds_no_departures_table():
+    # the search keeps totals and leaf states: at N = 9 its traced peak stays
+    # below the 26 MB of a (9!, 9) float64 departures table
+    missions = generate_topology(AirspaceConfig(n_agents=9, seed=909))
+    cfg = SeparationConfig(h=1.5)
+    # also builds the shared orders array, so the traced calls reuse it
+    table_bytes = lexicographic_orders(9).size * 8
+    for search in (optimize_order, order_averages):
+        tracemalloc.start()
+        try:
+            search(missions, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes, (search.__name__, peak)
 
 
 #: span ends on a grid of exact halves, so ends touch, departures repeat and

@@ -1,5 +1,6 @@
 import itertools
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,6 +145,28 @@ class TestRunMonteCarlo:
             assert x.dtype == y.dtype == z.dtype
             assert np.array_equal(x, y) and np.array_equal(x, z)
         assert a.delays.dtype == np.float64
+
+    def test_pool_is_sized_by_the_topologies(self, monkeypatch):
+        # a single topology forks no pool, and more workers than topologies
+        # fork one worker per topology; the samples stay byte-identical
+        real = scenario.get_context
+        pools = []
+
+        def recording(method):
+            def pool(processes):
+                pools.append(processes)
+                return real(method).Pool(processes)
+            return SimpleNamespace(Pool=pool)
+
+        monkeypatch.setattr(scenario, "get_context", recording)
+        for n_topologies, workers, forked in ((1, 2, []), (2, 5, [2])):
+            pools.clear()
+            serial = run_monte_carlo(4, n_topologies, base_seed=7)
+            pooled = run_monte_carlo(4, n_topologies, base_seed=7, workers=workers)
+            assert pools == forked
+            for column in ("delays", "topology_index", "order_rank"):
+                assert (getattr(pooled, column).tobytes()
+                        == getattr(serial, column).tobytes())
 
     def test_rejections_logged_and_reported(self, monkeypatch, caplog):
         real = scenario.generate_topology

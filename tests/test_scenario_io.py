@@ -1,7 +1,9 @@
 import json
+from importlib import resources
 
 import pytest
 
+from deconflict import atlanta
 from deconflict.errors import ScenarioFormatError
 from deconflict.geo import mph_to_mps
 from deconflict.scenario_io import parse_scenario, read_scenario
@@ -94,3 +96,23 @@ def test_invalid_json_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioFormatError):
         read_scenario(path)
+
+
+def test_atlanta_missions_are_a_new_list_on_every_call():
+    # the bundled scenario is parsed once per process, but a caller that
+    # changes its list changes neither a later call nor the case study
+    text = resources.files("deconflict.data").joinpath("atlanta.json").read_text()
+    parsed = parse_scenario(json.loads(text))[0]
+    study = atlanta.case_study(300.0)
+    first = atlanta.load_missions()
+    assert first == parsed
+    first.reverse()
+    first[0] = first.pop()
+    second = atlanta.load_missions()
+    assert second is not first and second == parsed
+    assert atlanta.case_study(300.0) == study
+
+
+@pytest.mark.parametrize("h", [50.0, 300.0, 1000.0])
+def test_case_study_repeats_equal(h):
+    assert atlanta.case_study(h) == atlanta.case_study(h)
