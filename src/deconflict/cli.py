@@ -20,7 +20,7 @@ from .kinematics import (IntervalKind, SeparationConfig, cpa_time,
 from .optimizer import optimize_order
 from .scenario import run_monte_carlo
 from .scenario_io import read_scenario
-from .scheduler import greedy_schedule
+from .scheduler import greedy_schedule, order_ids
 from .statfit import fit_report
 
 EXIT_OK = 0
@@ -118,8 +118,9 @@ def cmd_optimize(args) -> int:
     if out is not None:
         lines = ["order,total_delay_s,average_delay_s"]
         n = len(search.ids)
-        lines += [f"{'>'.join(search.ids[i] for i in row)},{total!r},{total / n!r}"
-                  for row, total in zip(search.orders.tolist(), search.totals.tolist())]
+        lines += [f"{'>'.join(order)},{total!r},{total / n!r}"
+                  for order, total in zip(order_ids(search.ids, search.orders),
+                                          search.totals.tolist())]
         (out / "orders.csv").write_text("\n".join(lines) + "\n")
         _write_json(out / "optimize.json", {
             "h_m": cfg.h,

@@ -149,20 +149,6 @@ class ForbiddenInterval:
             return self.hi - self.lo
         return 0.0
 
-    def contains(self, delta: float) -> bool:
-        """Open-interval membership: endpoints are feasible."""
-        return self.kind is IntervalKind.BOUNDED and self.lo < delta < self.hi
-
-    def mirrored(self) -> "ForbiddenInterval":
-        """The interval for the swapped pair order: (lo, hi) -> (-hi, -lo)."""
-        if self.kind is IntervalKind.BOUNDED:
-            return ForbiddenInterval.bounded(-self.hi, -self.lo)
-        return self
-
-    def shifted(self, t: float) -> tuple[float, float]:
-        """Absolute forbidden span when the first agent departs at t."""
-        return self.lo + t, self.hi + t
-
 
 def relative_state(a: Mission, b: Mission, delta: float) -> RelativeState:
     """Relative kinematics of a with respect to b when b departs `delta` after a.

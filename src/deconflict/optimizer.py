@@ -6,9 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooManyAgents
-from .kinematics import SeparationConfig, forbidden_interval
+from .kinematics import SeparationConfig
 from .scheduler import (Schedule, leaf_departures, lexicographic_orders,
-                        order_tree, pair_arrays, schedules)
+                        order_ids, order_tree, pair_arrays, schedules)
 # unused here, but perfbench/spans.py patches optimizer.greedy_schedule
 from .scheduler import greedy_schedule  # noqa: F401
 
@@ -47,37 +47,35 @@ class SearchResult:
         return 1.0 - self.best.total_delay / self.worst.total_delay
 
 
-def _sorted_tree(missions, cfg, pair_solver, cap):
+def _sorted_tree(missions, cfg):
     """Sorted mission ids, their hi span array, and order_tree's totals,
     leaf states and leaf index over them.
 
     Pairwise forbidden spans depend only on the mission set, so they are
-    computed once and shared across all orders. More than cap missions
-    raise TooManyAgents before any pair is solved.
+    computed once and shared across all orders. More than DEFAULT_ORDER_CAP
+    missions raise TooManyAgents before any pair is solved.
     """
     missions = sorted(missions, key=lambda m: m.id)
     n = len(missions)
     if n < 1:
         raise ValueError("need at least one mission")
-    if n > cap:
-        raise TooManyAgents(f"{n} agents exceeds the {cap}-agent enumeration cap "
-                            f"({math.factorial(cap)} orders)")
-    lo, hi = pair_arrays(missions, cfg, pair_solver)
+    if n > DEFAULT_ORDER_CAP:
+        raise TooManyAgents(f"{n} agents exceeds the {DEFAULT_ORDER_CAP}-agent "
+                            f"enumeration cap "
+                            f"({math.factorial(DEFAULT_ORDER_CAP)} orders)")
+    lo, hi = pair_arrays(missions, cfg)
     return (tuple(m.id for m in missions), hi, *order_tree(lo, hi))
 
 
 def order_averages(missions, cfg: SeparationConfig) -> np.ndarray:
     """Average delay of every order, as in per_order_table, without its objects."""
-    ids, _, totals, _, _ = _sorted_tree(missions, cfg, forbidden_interval,
-                                        DEFAULT_ORDER_CAP)
+    ids, _, totals, _, _ = _sorted_tree(missions, cfg)
     return totals / len(ids)
 
 
-def per_order_table(missions, cfg: SeparationConfig,
-                    cap: int = DEFAULT_ORDER_CAP,
-                    pair_solver=forbidden_interval) -> list[Schedule]:
+def per_order_table(missions, cfg: SeparationConfig) -> list[Schedule]:
     """Evaluate every permutation; output in lexicographic order of mission ids."""
-    ids, hi, _, leaves, leaf = _sorted_tree(missions, cfg, pair_solver, cap)
+    ids, hi, _, leaves, leaf = _sorted_tree(missions, cfg)
     return schedules(ids, hi, lexicographic_orders(len(ids)),
                      leaf_departures(leaves, leaf, slice(None)))
 
@@ -89,9 +87,7 @@ def optimize_order(missions, cfg: SeparationConfig) -> SearchResult:
     total m all tie; best is the lexicographically first of them, and worst
     is the first order within the same band of the greatest total.
     """
-    ids, hi, totals, leaves, leaf = _sorted_tree(missions, cfg,
-                                                 forbidden_interval,
-                                                 DEFAULT_ORDER_CAP)
+    ids, hi, totals, leaves, leaf = _sorted_tree(missions, cfg)
     orders = lexicographic_orders(len(ids))
     low, high = totals.min(), totals.max()
     tied = np.flatnonzero(totals <= low + TIE_TOL * (1.0 + abs(low)))
@@ -102,5 +98,4 @@ def optimize_order(missions, cfg: SeparationConfig) -> SearchResult:
         ids, hi, orders[picked], leaf_departures(leaves, leaf, picked))
     return SearchResult(best=best_schedule, worst=worst_schedule, ids=ids,
                         orders=orders, totals=totals,
-                        optimal_orders=tuple(tuple(ids[i] for i in row)
-                                             for row in orders[tied].tolist()))
+                        optimal_orders=tuple(order_ids(ids, orders[tied])))

@@ -14,8 +14,8 @@ holds the departure of each agent placed so far and NaN for the others.
 runs it once per level of the permutation tree, on the distinct states of
 that level only, to place all N! orders and fold their totals.
 `leaf_departures` reads the departures of chosen rows off their leaf
-states, and `schedules` turns those rows into `Schedule` objects and finds
-their bindings.
+states, `order_ids` labels rows with mission ids, and `schedules` turns
+rows into `Schedule` objects and finds their bindings.
 """
 
 import functools
@@ -65,14 +65,15 @@ class Schedule:
         return self.total_delay / len(self.departures)
 
 
-def pair_arrays(missions, cfg: SeparationConfig, pair_solver=forbidden_interval):
+def pair_arrays(missions, cfg: SeparationConfig):
     """Forbidden spans of every ordered pair as two (n, n) arrays.
 
     lo[i, j], hi[i, j] bound the delays of missions[j] relative to
     missions[i]; both are NaN where the span is EMPTY and on the diagonal.
-    Each unordered pair is solved once and mirrored as (-hi, -lo) for the
-    reversed order, which keeps the two directions exactly consistent.
-    Raises ValueError when two missions share an id.
+    Each unordered pair is solved once, by this module's forbidden_interval
+    as looked up at call time, and stored as (-hi, -lo) for the reversed
+    order, which keeps the two directions exactly consistent. Raises
+    ValueError when two missions share an id.
     """
     ids = [m.id for m in missions]
     if len(set(ids)) != len(ids):
@@ -82,11 +83,10 @@ def pair_arrays(missions, cfg: SeparationConfig, pair_solver=forbidden_interval)
     hi = np.full((n, n), np.nan)
     for i, a in enumerate(missions):
         for j in range(i + 1, n):
-            fi = pair_solver(a, missions[j], cfg)
+            fi = forbidden_interval(a, missions[j], cfg)
             if fi.kind is IntervalKind.BOUNDED:
                 lo[i, j], hi[i, j] = fi.lo, fi.hi
-                back = fi.mirrored()
-                lo[j, i], hi[j, i] = back.lo, back.hi
+                lo[j, i], hi[j, i] = -fi.hi, -fi.lo
     return lo, hi
 
 
@@ -187,6 +187,11 @@ def leaf_departures(leaves, leaf, rows):
     return leaves[leaf[rows][:, None], orders]
 
 
+def order_ids(ids, orders) -> list[tuple[str, ...]]:
+    """The id tuple of each row of orders (R, n), which indexes ids."""
+    return list(map(tuple, np.array(ids, dtype=object)[orders].tolist()))
+
+
 def schedules(ids, hi, orders, deps) -> list[Schedule]:
     """Schedule objects for the rows of orders (R, n) and departures (R, n).
 
@@ -196,7 +201,7 @@ def schedules(ids, hi, orders, deps) -> list[Schedule]:
     float operations are those of place_next, so the bindings are the edges
     the placement stopped on.
     """
-    id_rows = list(map(tuple, np.array(ids, dtype=object)[orders].tolist()))
+    id_rows = order_ids(ids, orders)
     near = [(np.abs(deps[:, j:j + 1] - (hi[orders[:, :j], orders[:, j:j + 1]]
                                         + deps[:, :j])) <= BINDING_TOL).tolist()
             for j in range(orders.shape[1])]
@@ -205,8 +210,7 @@ def schedules(ids, hi, orders, deps) -> list[Schedule]:
             for r, (o, d) in enumerate(zip(id_rows, deps.tolist()))]
 
 
-def greedy_schedule(order, cfg: SeparationConfig,
-                    pair_solver=forbidden_interval) -> Schedule:
+def greedy_schedule(order, cfg: SeparationConfig) -> Schedule:
     """Assign each mission the earliest departure compatible with all earlier ones.
 
     Missions are processed in the given order. For agent j the span of every
@@ -217,7 +221,7 @@ def greedy_schedule(order, cfg: SeparationConfig,
     """
     missions = list(order)
     ids = [m.id for m in missions]
-    lo, hi = pair_arrays(missions, cfg, pair_solver)
+    lo, hi = pair_arrays(missions, cfg)
     n = len(ids)
     state = np.full((1, n), np.nan)
     for k in range(n):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import deconflict
-from deconflict.kinematics import IntervalKind, Mission, Vec2
+from deconflict.kinematics import ForbiddenInterval, IntervalKind, Mission, Vec2
 from deconflict.scenario import SIDE, SPEED_RANGE
 from deconflict.scheduler import BINDING_TOL
 
@@ -117,7 +117,7 @@ def reference_schedule(ids, pair_intervals):
         for i in range(j):
             fi = pair_intervals[(ids[i], mid)]
             if fi.kind is IntervalKind.BOUNDED:
-                spans.append((*fi.shifted(departures[i]), ids[i]))
+                spans.append((fi.lo + departures[i], fi.hi + departures[i], ids[i]))
         t = 0.0
         for lo, hi, _ in sorted(spans):
             if lo >= t:
@@ -132,14 +132,15 @@ def reference_schedule(ids, pair_intervals):
 
 def reference_pairs(missions, cfg, pair_solver):
     """(first id, second id) -> ForbiddenInterval of every ordered pair, each
-    unordered pair solved once and mirrored."""
+    unordered pair solved once and reversed as (-hi, -lo)."""
     missions = sorted(missions, key=lambda m: m.id)
     table = {}
     for i, a in enumerate(missions):
         for b in missions[i + 1:]:
             fi = pair_solver(a, b, cfg)
             table[(a.id, b.id)] = fi
-            table[(b.id, a.id)] = fi.mirrored()
+            table[(b.id, a.id)] = (ForbiddenInterval.bounded(-fi.hi, -fi.lo)
+                                   if fi.kind is IntervalKind.BOUNDED else fi)
     return table
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from deconflict import cli
 from deconflict.errors import TopologyRejectionExhausted
 from deconflict.kinematics import SeparationConfig
 from deconflict.optimizer import per_order_table
+from deconflict.scenario import AirspaceConfig, generate_topology
 from deconflict.scenario_io import read_scenario
 
 CROSSING = {
@@ -36,6 +38,19 @@ SAME_TRACK = {
         {"id": "s1", "origin": [0.0, 0.0], "destination": [10.0, 0.0], "speed": 1.0},
         {"id": "s2", "origin": [0.0, 0.0], "destination": [10.0, 0.0], "speed": 1.0},
     ],
+}
+
+# sha256 of each file the CLI writes in test_cli_artifacts_are_pinned; one
+# changed byte fails it
+ARTIFACT_PINS = {
+    "optimize/orders.csv":
+        "ccb81dbbe85105e61e51fff6fd778739817743f9bcc07cd36bced696b3a8a25b",
+    "optimize/optimize.json":
+        "da26595e77511411a02eb0147fc833ea8e390caca2584a271e319364de40e659",
+    "schedule/schedule.json":
+        "76d91a94f7696722e59bab4e6b0f415b0f31072b891298ca4269e25ba53d0afb",
+    "casestudy/casestudy.json":
+        "5fd99cc50b3382bdc6ab10b4d4af714237d212e318d6b5b8ca8594f9b5090205",
 }
 
 
@@ -304,3 +319,22 @@ def test_unexpected_internal_error_maps_to_4(monkeypatch):
             raise exc
         monkeypatch.setattr(cli, "build_parser", lambda: _parser_with(boom))
         assert cli.main(["schedule", "--scenario", "x"]) == 4
+
+
+def test_cli_artifacts_are_pinned(scenario_path, tmp_path, capsys):
+    # seven missions with 840 orders tied at the optimum, so optimize.json
+    # lists many tied orders and orders.csv has 5,040 rows
+    missions = generate_topology(AirspaceConfig(n_agents=7, seed=5))
+    path = scenario_path({
+        "version": 1, "units": "metric", "separation_h": 1.5,
+        "missions": [{"id": m.id, "origin": [m.origin.x, m.origin.y],
+                      "destination": [m.destination.x, m.destination.y],
+                      "speed": m.speed} for m in missions]})
+    for argv in (["optimize", "--scenario", path],
+                 ["schedule", "--scenario", path],
+                 ["casestudy", "--h", "300"]):
+        assert cli.main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ARTIFACT_PINS}
+    assert digests == ARTIFACT_PINS

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deconflict import atlanta, optimizer, oracle
+from deconflict import atlanta, oracle, scheduler
 from deconflict.errors import TooManyAgents
 from deconflict.kinematics import (ForbiddenInterval, Mission, SeparationConfig,
                                    Vec2, forbidden_interval)
@@ -168,13 +168,30 @@ class TestOptimizeOrder:
             solved.append((first.id, second.id))
             return forbidden_interval(first, second, pair_cfg)
 
-        with mock.patch.object(optimizer, "forbidden_interval", counting):
-            for search in (optimize_order, order_averages):
+        with mock.patch.object(scheduler, "forbidden_interval", counting):
+            for search in (optimize_order, order_averages, per_order_table):
                 with pytest.raises(TooManyAgents, match="9-agent"):
                     search(missions, cfg)
             assert solved == []
             order_averages(missions[:3], cfg)  # the counter sees solves
         assert len(solved) == 3
+
+    def test_every_search_solves_through_the_scheduler_seam(self, cfg):
+        # patching scheduler.forbidden_interval reaches every pair solve,
+        # each unordered pair once
+        missions = random_instance(np.random.default_rng(73), 4)
+        solved = []
+
+        def counting(first, second, pair_cfg):
+            solved.append((first.id, second.id))
+            return forbidden_interval(first, second, pair_cfg)
+
+        with mock.patch.object(scheduler, "forbidden_interval", counting):
+            for search in (greedy_schedule, per_order_table, order_averages,
+                           optimize_order):
+                solved.clear()
+                search(missions, cfg)
+                assert len(solved) == 6, search.__name__
 
     def test_duplicate_ids_rejected(self, cfg):
         # two missions named "x" would give rows labelled ("x", "x")
@@ -384,14 +401,15 @@ class TestArrayPlacementEdges:
     @classmethod
     def search(cls, n, spans):
         missions, stub = cls.instance(n, spans)
-        # optimize_order looks the pair solver up in its module on each call
-        with mock.patch.object(optimizer, "forbidden_interval", stub):
+        # pair_arrays looks the pair solver up in its module on each call
+        with mock.patch.object(scheduler, "forbidden_interval", stub):
             return optimize_order(missions, cls.CFG)
 
     @classmethod
     def table(cls, n, spans):
         missions, stub = cls.instance(n, spans)
-        table = per_order_table(missions, cls.CFG, pair_solver=stub)
+        with mock.patch.object(scheduler, "forbidden_interval", stub):
+            table = per_order_table(missions, cls.CFG)
         rows = reference_order_table(missions, cls.CFG, stub)
         assert table_rows(table) == rows
         assert_search_rows_match(cls.search(n, spans), rows)

@@ -1,11 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deconflict import oracle
+from deconflict import oracle, scheduler
 from deconflict.kinematics import ForbiddenInterval, Mission, SeparationConfig, Vec2
 from deconflict.scheduler import BINDING_TOL, greedy_schedule
 from helpers import random_instance
@@ -28,7 +29,8 @@ def depart_after(spans):
             return ForbiddenInterval.empty()
         return ForbiddenInterval.bounded(*spans[earlier.index(first.id)])
 
-    schedule = greedy_schedule(missions, SeparationConfig(h=1.5), pair_solver=stub)
+    with mock.patch.object(scheduler, "forbidden_interval", stub):
+        schedule = greedy_schedule(missions, SeparationConfig(h=1.5))
     assert schedule.departures[:-1] == (0.0,) * len(earlier)
     return schedule.departures[-1], schedule.bindings[-1]
 
