@@ -13,14 +13,13 @@ oracle that checks it (oracle) shares no code with it and samples each
 window with numpy.
 """
 
-from .errors import (DeconflictError, DegenerateRelativeVelocity,
-                     DegenerateSamples, FitDomainError, NonConvergence,
-                     OutOfProjectionRange, ScenarioFormatError, TooManyAgents,
-                     TopologyRejectionExhausted, UnknownId)
-from .geo import GeoPoint, haversine_m, minutes_to_seconds, mph_to_mps, project, unproject
+from .errors import (DeconflictError, DegenerateSamples, FitDomainError,
+                     NonConvergence, OutOfProjectionRange, ScenarioFormatError,
+                     TooManyAgents, TopologyRejectionExhausted, UnknownId)
+from .geo import GeoPoint, haversine_m, minutes_to_seconds, mph_to_mps, project
 from .kinematics import (ForbiddenInterval, IntervalKind, Mission,
-                         RelativeState, SeparationConfig, Vec2, cpa_time,
-                         forbidden_interval, min_separation_sq, relative_state)
+                         SeparationConfig, Vec2, forbidden_interval,
+                         min_separation_sq)
 from .optimizer import SearchResult, optimize_order, per_order_table
 from .scenario import (AirspaceConfig, MonteCarloResult, generate_topology,
                        run_monte_carlo)

@@ -12,16 +12,15 @@ import sys
 from pathlib import Path
 
 from . import atlanta
-from .errors import (DegenerateRelativeVelocity, DegenerateSamples,
-                     ScenarioFormatError, TooManyAgents,
+from .errors import (DegenerateSamples, ScenarioFormatError, TooManyAgents,
                      TopologyRejectionExhausted, UnknownId)
-from .kinematics import (IntervalKind, SeparationConfig, cpa_time,
-                         forbidden_interval, min_separation_sq, relative_state)
+from .kinematics import (UU_EPS, IntervalKind, SeparationConfig,
+                         forbidden_interval, min_separation_sq)
 from .optimizer import optimize_order
 from .scenario import run_monte_carlo
 from .scenario_io import read_scenario
 from .scheduler import greedy_schedule, order_ids
-from .statfit import fit_report
+from .statfit import DEFAULT_BINS, fit_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -62,11 +61,17 @@ def cmd_solve_pair(args) -> int:
     second = by_id[args.second_id]
     fi = forbidden_interval(first, second, cfg)
     print(f"pair: {first.id} first, {second.id} second (h = {cfg.h} m)")
-    try:
-        t_cpa = cpa_time(relative_state(first, second, 0.0))
-        print(f"closest approach at zero delay: t = {t_cpa:.6f} s")
-    except DegenerateRelativeVelocity:
+    # the gap R(t) = U t + P is least at t = -(U.P)/|U|^2, with P first's
+    # position at second's departure less second's origin; the zero-scaled
+    # velocity fixes the sign of a zero in P, and so the sign of a zero t
+    u = first.velocity - second.velocity
+    p = first.origin + first.velocity.scaled(0.0) - second.origin
+    uu = u.norm_sq()
+    if uu <= UU_EPS:
         print("closest approach at zero delay: degenerate (identical velocities)")
+    else:
+        t_cpa = -(u.x * p.x + u.y * p.y) / uu
+        print(f"closest approach at zero delay: t = {t_cpa:.6f} s")
     if fi.kind is IntervalKind.EMPTY:
         print("forbidden delays: none (pair is separation-safe at any delay)")
     else:
@@ -260,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("pooled", "optimal"), default="pooled")
     p.add_argument("--h", type=float, default=1.5)
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("fit", help="fit delay distributions to a samples CSV")
     p.add_argument("samples_csv")
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=cmd_fit)
 

@@ -5,10 +5,6 @@ class DeconflictError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DegenerateRelativeVelocity(DeconflictError):
-    """Relative velocity is (numerically) zero; CPA time is undefined."""
-
-
 class TooManyAgents(DeconflictError):
     """Exhaustive order search was asked to exceed its permutation cap."""
 

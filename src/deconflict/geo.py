@@ -46,16 +46,15 @@ def project(p: GeoPoint, ref: GeoPoint) -> Vec2:
         raise OutOfProjectionRange(
             f"({p.lat}, {p.lon}) is farther than {PROJECTION_RANGE_M / 1000:.0f} km "
             f"from the reference")
-    x = EARTH_RADIUS_M * math.radians(p.lon - ref.lon) * math.cos(math.radians(ref.lat))
+    dlon = p.lon - ref.lon
+    # the short way round across the antimeridian
+    if dlon > 180.0:
+        dlon -= 360.0
+    elif dlon < -180.0:
+        dlon += 360.0
+    x = EARTH_RADIUS_M * math.radians(dlon) * math.cos(math.radians(ref.lat))
     y = EARTH_RADIUS_M * math.radians(p.lat - ref.lat)
     return Vec2(x, y)
-
-
-def unproject(v: Vec2, ref: GeoPoint) -> GeoPoint:
-    """Inverse of project about the same reference."""
-    lat = ref.lat + math.degrees(v.y / EARTH_RADIUS_M)
-    lon = ref.lon + math.degrees(v.x / (EARTH_RADIUS_M * math.cos(math.radians(ref.lat))))
-    return GeoPoint(lat, lon)
 
 
 def mph_to_mps(v: float) -> float:

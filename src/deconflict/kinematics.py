@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar
 
-from .errors import DegenerateRelativeVelocity
-
 #: |U|^2 at or below this means the velocities are identical for all
 #: purposes (drift < 3e-8 m over a 30 s window).
 UU_EPS = 1e-18
@@ -43,9 +41,6 @@ class Vec2:
 
     def scaled(self, s: float) -> "Vec2":
         return Vec2(self.x * s, self.y * s)
-
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
 
     def norm_sq(self) -> float:
         return self.x * self.x + self.y * self.y
@@ -78,21 +73,6 @@ class Mission:
         length = d.norm()
         object.__setattr__(self, "velocity", d.scaled(self.speed / length))
         object.__setattr__(self, "duration", length / self.speed)
-
-    @property
-    def length(self) -> float:
-        return (self.destination - self.origin).norm()
-
-    def position(self, t_since_departure: float) -> Vec2:
-        """Position at time t after departure (valid on [0, duration])."""
-        return self.origin + self.velocity.scaled(t_since_departure)
-
-
-@dataclass(frozen=True)
-class RelativeState:
-    """Relative velocity U and relative position P at the second agent's departure."""
-    U: Vec2
-    P: Vec2
 
 
 @dataclass(frozen=True)
@@ -148,35 +128,6 @@ class ForbiddenInterval:
         if self.kind is IntervalKind.BOUNDED:
             return self.hi - self.lo
         return 0.0
-
-
-def relative_state(a: Mission, b: Mission, delta: float) -> RelativeState:
-    """Relative kinematics of a with respect to b when b departs `delta` after a.
-
-    U = Va - Vb; P = (origin_a + delta*Va) - origin_b, i.e. the relative
-    position at b's departure instant.
-    """
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
-    u = a.velocity - b.velocity
-    p = (a.origin + a.velocity.scaled(delta)) - b.origin
-    return RelativeState(U=u, P=p)
-
-
-def cpa_time(rs: RelativeState) -> float:
-    """Time of closest approach: where d|R(t)|^2/dt vanishes.
-
-    R(t) = U t + P, so t_min = -(U.P)/|U|^2. May be negative (closest
-    approach lies before the reference instant).
-
-    Raises DegenerateRelativeVelocity when |U| is numerically zero; the gap
-    is then constant and no unique minimizer exists.
-    """
-    uu = rs.U.norm_sq()
-    if uu <= UU_EPS:
-        raise DegenerateRelativeVelocity(
-            f"relative speed {math.sqrt(uu):.3e} m/s is below the degeneracy threshold")
-    return -rs.U.dot(rs.P) / uu
 
 
 def min_separation_sq(a: Mission, t_dep_a: float, b: Mission, t_dep_b: float) -> float:

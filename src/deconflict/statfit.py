@@ -44,14 +44,6 @@ class Histogram:
     def centers(self) -> np.ndarray:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.bin_edges)
-
-    @property
-    def integral(self) -> float:
-        return float(np.sum(self.densities * self.widths))
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -215,7 +207,11 @@ def fit(samples, family: DistributionFamily, bins: int = DEFAULT_BINS) -> FitRes
     density and the fitted pdf at the bin center.
     """
     x = np.asarray(samples, dtype=np.float64)
-    hist = make_histogram(x, bins)
+    return _scored(x, make_histogram(x, bins), family)
+
+
+def _scored(x: np.ndarray, hist: Histogram, family: DistributionFamily) -> FitResult:
+    """Fit one family to x and score it against x's histogram."""
     params = _FITTERS[family](x)
     fitted = FitResult(family=family, params=params, ssr=0.0)
     residuals = hist.densities - pdf(fitted, hist.centers)
@@ -233,7 +229,9 @@ def select_best(samples, bins: int = DEFAULT_BINS) -> FitResult:
 
     Ties go to the family listed first in DistributionFamily.
     """
-    return _least_ssr([fit(samples, fam, bins) for fam in DistributionFamily])
+    x = np.asarray(samples, dtype=np.float64)
+    hist = make_histogram(x, bins)
+    return _least_ssr([_scored(x, hist, fam) for fam in DistributionFamily])
 
 
 def fit_report(samples, bins: int = DEFAULT_BINS) -> dict:
@@ -251,7 +249,7 @@ def fit_report(samples, bins: int = DEFAULT_BINS) -> dict:
         raise ValueError(f"samples must be finite, got {x[~np.isfinite(x)][0]}")
     x = x[x > 0.0]
     hist = make_histogram(x, bins)
-    fits = [fit(x, fam, bins) for fam in DistributionFamily]
+    fits = [_scored(x, hist, fam) for fam in DistributionFamily]
     best = _least_ssr(fits)
     return {
         "bins": bins,

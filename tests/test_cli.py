@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from deconflict.kinematics import SeparationConfig
 from deconflict.optimizer import per_order_table
 from deconflict.scenario import AirspaceConfig, generate_topology
 from deconflict.scenario_io import read_scenario
+from helpers import pair_stream
 
 CROSSING = {
     "version": 1,
@@ -52,6 +54,10 @@ ARTIFACT_PINS = {
     "casestudy/casestudy.json":
         "5fd99cc50b3382bdc6ab10b4d4af714237d212e318d6b5b8ca8594f9b5090205",
 }
+
+# sha256 of the exit codes and stdout of every solve-pair run in
+# test_solve_pair_output_is_pinned; one changed byte fails it
+SOLVE_PAIR_PIN = "49d0c792e4670c42edb25ca82da7728251499fd028e2831c9605f81dc9b1f0ae"
 
 
 @pytest.fixture
@@ -338,3 +344,32 @@ def test_cli_artifacts_are_pinned(scenario_path, tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ARTIFACT_PINS}
     assert digests == ARTIFACT_PINS
+
+
+def test_solve_pair_output_is_pinned(scenario_path, capsys):
+    # generic, equal-velocity and same-track pairs in both orders, and every
+    # ordered pair of missions leaving (+-0.0, +-0.0), whose signed zeros
+    # decide the sign of a zero closest-approach time
+    runs = []
+    for i, pair in enumerate(pair_stream(2108, 80)):
+        path = scenario_path({
+            "version": 1, "units": "metric", "separation_h": 1.5,
+            "missions": [{"id": mid, "origin": [m.origin.x, m.origin.y],
+                          "destination": [m.destination.x, m.destination.y],
+                          "speed": m.speed} for mid, m in zip("ab", pair)]},
+            f"pair{i}.json")
+        runs += [(path, "a", "b"), (path, "b", "a")]
+    zeros = [{"id": f"z{k}", "origin": list(o), "destination": list(d), "speed": s}
+             for k, (o, (d, s)) in enumerate(itertools.product(
+                 itertools.product((0.0, -0.0), repeat=2),
+                 [((3.0, 4.0), 1.0), ((6.0, 8.0), 2.0), ((-3.0, 4.0), 1.0),
+                  ((-0.0, 5.0), 1.0)]))]
+    path = scenario_path({"version": 1, "units": "metric", "separation_h": 1.5,
+                          "missions": zeros}, "zeros.json")
+    runs += [(path, first, second) for first, second
+             in itertools.permutations([m["id"] for m in zeros], 2)]
+    digest = hashlib.sha256()
+    for path, first, second in runs:
+        rc = cli.main(["solve-pair", "--scenario", path, first, second])
+        digest.update(f"{rc}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == SOLVE_PAIR_PIN

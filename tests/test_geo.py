@@ -5,7 +5,7 @@ import pytest
 
 from deconflict.errors import OutOfProjectionRange
 from deconflict.geo import (GeoPoint, haversine_m, minutes_to_seconds,
-                            mph_to_mps, project, seconds_to_minutes, unproject)
+                            mph_to_mps, project, seconds_to_minutes)
 
 # the eight case-study vertiports
 VERTIPORTS = {
@@ -53,12 +53,16 @@ def test_all_table3_pairs_within_half_percent_of_haversine():
         assert abs(planar - arc) / arc < 0.005, (a, b)
 
 
-def test_round_trip_under_one_meter():
-    ref = GeoPoint(33.7, -84.45)
-    for p in VERTIPORTS.values():
-        v = project(p, ref)
-        back = unproject(v, ref)
-        assert haversine_m(p, back) < 1.0
+def test_projection_takes_the_short_way_across_the_antimeridian():
+    # 0.2 degrees of longitude apart, across +-180: east, not 40,000 km west
+    p, ref = GeoPoint(0.0, -179.9), GeoPoint(0.0, 179.9)
+    v = project(p, ref)
+    arc = haversine_m(p, ref)
+    assert v.x > 0.0
+    assert abs(math.hypot(v.x, v.y) - arc) / arc < 0.005
+    v = project(ref, p)
+    assert v.x < 0.0
+    assert abs(math.hypot(v.x, v.y) - arc) / arc < 0.005
 
 
 def test_out_of_range_rejected():

@@ -10,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deconflict import atlanta, oracle
-from deconflict.errors import DegenerateRelativeVelocity
 from deconflict.kinematics import (ForbiddenInterval, IntervalKind, Mission,
-                                   SeparationConfig, Vec2, cpa_time,
-                                   forbidden_interval, min_separation_sq,
-                                   relative_state)
+                                   SeparationConfig, Vec2, forbidden_interval,
+                                   min_separation_sq)
 from helpers import pair_stream, random_pair, sliver_pair
 
 # sha256 over the pairs of _pinned_pairs of forbidden_interval's
@@ -31,7 +29,8 @@ class TestVec2:
         v = Vec2(1.0, 2.0) + Vec2(3.0, -1.0)
         assert (v.x, v.y) == (4.0, 1.0)
         assert (Vec2(3.0, 4.0)).norm() == 5.0
-        assert Vec2(1.0, 2.0).dot(Vec2(3.0, 4.0)) == 11.0
+        assert Vec2(3.0, 4.0) - Vec2(1.0, 2.0) == Vec2(2.0, 2.0)
+        assert Vec2(3.0, 4.0).scaled(0.5).norm_sq() == 6.25
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
@@ -42,13 +41,10 @@ class TestVec2:
 class TestMission:
     def test_derived_quantities(self):
         m = Mission("m", Vec2(0.0, 0.0), Vec2(3.0, 4.0), 2.5)
-        assert m.length == 5.0
         assert m.duration == 2.0
         v = m.velocity
         assert v.x == pytest.approx(1.5)
         assert v.y == pytest.approx(2.0)
-        p = m.position(1.0)
-        assert (p.x, p.y) == (pytest.approx(1.5), pytest.approx(2.0))
         # velocity and duration are set once from the fields, bit for bit
         # as the formulas give them, and take no part in repr, == or hash
         for a, b in pair_stream(55, 40):
@@ -96,63 +92,6 @@ class TestSeparationConfig:
         for h in (0.0, -1.0, math.nan, math.inf, 1e200, 1e-200):
             with pytest.raises(ValueError):
                 SeparationConfig(h=h)
-
-
-class TestRelativeState:
-    def test_identical_missions_zero_delay(self):
-        m = Mission("m", Vec2(0, 0), Vec2(10, 0), 1.0)
-        rs = relative_state(m, m, 0.0)
-        assert (rs.U.x, rs.U.y) == (0.0, 0.0)
-        assert (rs.P.x, rs.P.y) == (0.0, 0.0)
-
-    def test_crossing_pair_composition(self, crossing_pair):
-        a, b = crossing_pair
-        rs = relative_state(a, b, 0.0)
-        assert (rs.U.x, rs.U.y) == (1.0, -1.0)
-        assert (rs.P.x, rs.P.y) == (-10.0, 10.0)
-        # hand evaluation of the position functions at t = 0 confirms P
-        pa = a.position(0.0)
-        pb = b.position(0.0)
-        assert (pa.x - pb.x, pa.y - pb.y) == (rs.P.x, rs.P.y)
-
-    def test_delay_shifts_p_only(self, crossing_pair):
-        a, b = crossing_pair
-        rs = relative_state(a, b, 5.0)
-        assert (rs.U.x, rs.U.y) == (1.0, -1.0)
-        assert (rs.P.x, rs.P.y) == (-5.0, 10.0)
-
-
-class TestCpaTime:
-    def test_crossing_pair(self, crossing_pair):
-        a, b = crossing_pair
-        rs = relative_state(a, b, 0.0)
-        t_min = cpa_time(rs)
-        assert t_min == pytest.approx(10.0)
-        # independent check: |R(t)|^2 sampled on a grid attains its minimum there
-        ts = np.linspace(-5.0, 25.0, 3001)
-        rr = (rs.U.x * ts + rs.P.x) ** 2 + (rs.U.y * ts + rs.P.y) ** 2
-        assert abs(ts[np.argmin(rr)] - t_min) <= 0.011
-
-    def test_already_at_closest_approach(self):
-        rs = relative_state(Mission("a", Vec2(0, 0), Vec2(10, 0), 1.0),
-                            Mission("b", Vec2(0, -5), Vec2(-10, -5), 1.0), 0.0)
-        assert rs.U.dot(rs.P) == 0.0
-        assert cpa_time(rs) == 0.0
-
-    def test_degenerate_relative_velocity(self):
-        m = Mission("m", Vec2(0, 0), Vec2(10, 0), 1.0)
-        with pytest.raises(DegenerateRelativeVelocity):
-            cpa_time(relative_state(m, m, 3.0))
-
-    def test_minimizes_sampled_distance(self):
-        for a, b in pair_stream(101, 100):
-            rs = relative_state(a, b, 0.0)
-            if rs.U.norm_sq() <= 1e-18:
-                continue
-            t_min = cpa_time(rs)
-            at_min = (rs.U.scaled(t_min) + rs.P).norm_sq()
-            for t in np.linspace(t_min - 30.0, t_min + 30.0, 101):
-                assert at_min <= (rs.U.scaled(t) + rs.P).norm_sq() + 1e-9
 
 
 class TestMinSeparationSq:
@@ -345,21 +284,6 @@ def test_power_of_two_scalings_scale_the_span_exactly(seed, kind, h, factors):
     assert fi.kind is base.kind
     assert fi.lo == base.lo * space / speed
     assert fi.hi == base.hi * space / speed
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(delta=st.floats(-40.0, 40.0),
-       ox=st.floats(0.0, 20.0), oy=st.floats(0.0, 20.0))
-def test_relative_state_matches_position_functions(delta, ox, oy):
-    a = Mission("a", Vec2(0.0, 10.0), Vec2(20.0, 10.0), 1.25)
-    b = Mission("b", Vec2(ox, oy), Vec2(ox + 3.0, oy + 4.0), 1.0)
-    rs = relative_state(a, b, delta)
-    # R(t) = pos_a(t + delta) - pos_b(t) for t in the co-airborne frame
-    for t in (0.0, 1.5, 4.0):
-        ra = a.position(t + delta) - b.position(t)
-        rr = rs.U.scaled(t) + rs.P
-        assert ra.x == pytest.approx(rr.x, abs=1e-9)
-        assert ra.y == pytest.approx(rr.y, abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -43,7 +43,8 @@ def test_geodetic_projection_and_speed_conversion():
     missions, _ = parse_scenario(GEODETIC)
     assert missions[0].speed == pytest.approx(mph_to_mps(62.4))
     # ATL -> GA54 is about 29.6 km in the plane
-    assert missions[0].length == pytest.approx(29_600.0, rel=0.01)
+    route = missions[0].destination - missions[0].origin
+    assert route.norm() == pytest.approx(29_600.0, rel=0.01)
 
 
 @pytest.mark.parametrize("mutate,field", [

@@ -18,7 +18,8 @@ class TestMakeHistogram:
         hist = make_histogram([1.0, 1.0, 3.0, 3.0], bins=2)
         assert hist.bin_edges.tolist() == [1.0, 2.0, 3.0]
         assert hist.densities.tolist() == [0.5, 0.5]
-        assert hist.integral == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(hist.densities * np.diff(hist.bin_edges)) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_constant_samples_rejected(self):
         with pytest.raises(DegenerateSamples):
@@ -27,7 +28,8 @@ class TestMakeHistogram:
     def test_integral_is_one_for_gamma_draws(self):
         x = np.random.default_rng(0).gamma(9.0, 2.0, 100_000)
         hist = make_histogram(x, bins=50)
-        assert hist.integral == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(hist.densities * np.diff(hist.bin_edges)) == pytest.approx(
+            1.0, abs=1e-9)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -135,14 +137,14 @@ class TestFitReport:
         # every SSR forced equal: normal, the first DistributionFamily member,
         # is selected by fit_report and select_best alike, and each family
         # is fitted once
-        real_fit = statfit.fit
+        real_scored = statfit._scored
         calls = []
 
-        def tied_fit(x, family, bins=statfit.DEFAULT_BINS):
+        def tied_scored(x, hist, family):
             calls.append(family)
-            return dataclasses.replace(real_fit(x, family, bins), ssr=1.0)
+            return dataclasses.replace(real_scored(x, hist, family), ssr=1.0)
 
-        monkeypatch.setattr(statfit, "fit", tied_fit)
+        monkeypatch.setattr(statfit, "_scored", tied_scored)
         x = np.random.default_rng(10).gamma(5.0, 2.0, 2_000)
         assert list(DistributionFamily)[0] is DistributionFamily.NORMAL
         assert fit_report(x)["selected"] == "normal"
