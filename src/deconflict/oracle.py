@@ -6,8 +6,9 @@ polishing the sampled minimum by local search), so it shares no code path
 with the vertex/root analysis in kinematics: it takes only the Mission type
 from there. One sampler works on rows, one co-airborne window per row: rows
 are sampled in (rows x samples) blocks of at most CHUNK elements and
-polished in one masked loop. A single window, a delay grid and the pairs of
-a schedule are each one call of it; tests pin its outputs bit for bit.
+polished together by ternary search, each row leaving the search in the step
+its bracket closes. A single window, a delay grid and the pairs of a
+schedule are each one call of it; tests pin its outputs bit for bit.
 """
 
 import math
@@ -38,6 +39,59 @@ def _flights(missions) -> np.ndarray:
         v = m.velocity
         rows.append((m.origin.x, m.origin.y, v.x, v.y, m.duration))
     return np.array(rows, dtype=np.float64).reshape(-1, 5).T
+
+
+def _polish(u, c, lo, hi) -> np.ndarray:
+    """Midpoints of the brackets [lo, hi] after a ternary search on each
+    row's squared gap |u t + c|^2; u and c are (2, rows) arrays of x and y.
+
+    A row steps until hi - lo <= 1e-12 (a nan width never stops), at most
+    200 times. A step probes x and y at both thirds of every bracket as one
+    (2, 2 * rows) array, and a row leaves the working arrays in the step it
+    stops.
+    """
+    lo_out, hi_out = lo.copy(), hi.copy()  # each row's final bracket
+    rows = np.arange(lo.size)
+    u = np.concatenate([u, u], axis=1)
+    c = np.concatenate([c, c], axis=1)
+    w = np.empty(rows.size)
+    r = -1
+    for _ in range(200):
+        np.subtract(hi, lo, out=w)
+        if np.fmin.reduce(w, initial=np.inf) <= 1e-12:  # fmin skips nan widths
+            stop = w <= 1e-12
+            lo_out[rows[stop]] = lo[stop]
+            hi_out[rows[stop]] = hi[stop]
+            live = ~stop
+            rows, lo, hi, w = rows[live], lo[live], hi[live], w[live]
+            both = np.concatenate([live, live])
+            u, c = u[:, both], c[:, both]
+        if rows.size != r:
+            r = rows.size
+            if not r:
+                break
+            m = np.empty(2 * r)  # the probes lo + third, then hi - third
+            m1, m2 = m[:r], m[r:]
+            p = np.empty((2, 2 * r))
+            px, py = p
+            d = np.empty(2 * r)
+            d1, d2 = d[:r], d[r:]
+            left = np.empty(r, dtype=bool)
+        np.divide(w, 3.0, out=w)  # now a third of the width
+        np.add(lo, w, out=m1)
+        np.subtract(hi, w, out=m2)
+        np.multiply(u, m, out=p)
+        np.add(p, c, out=p)
+        np.multiply(p, p, out=p)
+        np.add(px, py, out=d)
+        np.less(d1, d2, out=left)
+        # np.where, not np.putmask: a masked copy branches on every element,
+        # and which side of a bracket survives follows no pattern
+        hi = np.where(left, m2, hi)
+        lo = np.where(left, lo, m1)
+    lo_out[rows] = lo
+    hi_out[rows] = hi
+    return 0.5 * (lo_out + hi_out)
 
 
 def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
@@ -72,45 +126,36 @@ def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
     by_width = np.argsort(-n)
     rows, n = rows[by_width], n[by_width]
     ux, uy, cx, cy, w0, w1 = (x[rows] for x in (ux, uy, cx, cy, w0, w1))
+    j = np.arange(n.max(initial=0))
+    jdt = j * dt
     best = np.empty(rows.size)
     tbest = np.empty(rows.size)
     s = 0
     while s < rows.size:
         blk = slice(s, s + max(1, CHUNK // int(n[s])))
         nb = n[blk]
-        j = np.arange(nb[0])
-        t = w0[blk, None] + j * dt
         i = np.arange(nb.size)
+        t = w0[blk, None] + jdt[:nb[0]]
         t[i, nb - 1] = w1[blk]
-        rx = ux[blk, None] * t + cx[blk, None]
-        ry = uy[blk, None] * t + cy[blk, None]
-        d = rx * rx + ry * ry
-        d[j >= nb[:, None]] = np.inf
+        # (ux t + cx)^2 + (uy t + cy)^2, in place
+        d = ux[blk, None] * t
+        d += cx[blk, None]
+        d *= d
+        ry = uy[blk, None] * t
+        ry += cy[blk, None]
+        ry *= ry
+        d += ry
+        np.putmask(d, j[:nb[0]] >= nb[:, None], np.inf)
         k = np.argmin(d, axis=1)  # the first of equal minima
         best[blk] = d[i, k]
         tbest[blk] = t[i, k]
         s = blk.stop
     if refine:
-        # ternary search on every row at once; a row stops once hi - lo <= 1e-12
         lo = tbest - dt
         lo = np.where(lo > w0, lo, w0)
         hi = tbest + dt
         hi = np.where(hi < w1, hi, w1)
-        for _ in range(200):
-            live = ~(hi - lo <= 1e-12)
-            if not live.any():
-                break
-            third = (hi - lo) / 3.0
-            m1 = lo + third
-            m2 = hi - third
-            r1x = ux * m1 + cx
-            r1y = uy * m1 + cy
-            r2x = ux * m2 + cx
-            r2y = uy * m2 + cy
-            left = r1x * r1x + r1y * r1y < r2x * r2x + r2y * r2y
-            hi = np.where(live & left, m2, hi)
-            lo = np.where(live & ~left, m1, lo)
-        t = 0.5 * (lo + hi)
+        t = _polish(np.stack([ux, uy]), np.stack([cx, cy]), lo, hi)
         rx = ux * t + cx
         ry = uy * t + cy
         r = rx * rx + ry * ry

@@ -14,9 +14,11 @@ Schema (version 1):
 
 Metric scenarios carry coordinates in meters and speeds in m/s. Geodetic
 scenarios carry [lat, lon] degrees and speeds in mph; they are projected
-onto a local plane about the centroid of all endpoints. Unknown fields are
-rejected so typos fail loudly. The readers return `(missions, separation_h)`
-with missions in meters and m/s; there is no writer.
+onto a local plane about the centroid of all endpoints, whose longitude is
+averaged on [0, 360] when the endpoints straddle +-180 degrees. Unknown
+fields are rejected so typos fail loudly. The readers return
+`(missions, separation_h)` with missions in meters and m/s; there is no
+writer.
 """
 
 import json
@@ -122,8 +124,13 @@ def _missions(units: str, specs) -> list[Mission]:
         # the centroid sums origin then destination of each mission in turn
         geos = [GeoPoint(lat, lon) for _, origin, destination, _ in specs
                 for lat, lon in (origin, destination)]
+        lons = [g.lon for g in geos]
+        if max(lons) - min(lons) > 180.0:
+            # endpoints across +-180: average the longitudes on [0, 360]
+            lons = [lon + 360.0 if lon < 0.0 else lon for lon in lons]
+        lon = sum(lons) / len(geos)
         ref = GeoPoint(sum(g.lat for g in geos) / len(geos),
-                       sum(g.lon for g in geos) / len(geos))
+                       lon - 360.0 if lon > 180.0 else lon)
         return [Mission(id=mid,
                         origin=project(GeoPoint(*origin), ref),
                         destination=project(GeoPoint(*destination), ref),

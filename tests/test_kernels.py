@@ -29,6 +29,9 @@ EDGE_GRID_PINS = {
     True: "a275bcf05e924fed3557f290319739e4583c357d10ead7734f0c2349f4b2c7e6",
     False: "7bb25b8257228795782499c7345fa3db39bebd2ec1bed20a8f9e87d7accac3e8",
 }
+# sha256 of pairs_min_sep_sq(..., refine=True) on _polish_rows, taken before
+# the polish dropped stopped rows from its working arrays
+POLISH_PIN = "049196a96db9fcc10eb6f8016787035ceb56c6ee4e6c0a4d996f9ada88f0beee"
 SCHEDULE_PINS = {
     (0.01, False): "e66ab366d8b99e1ce777b453b26e22d48410670b258919099d4c4b753de6e0e5",
     (0.01, True): "7c8d4ed5c4dbdf7d0b0b1ee62af9c2b6736ac010e5961c32921d6a09e841e315",
@@ -83,6 +86,40 @@ def _edge_grids(refine):
 @pytest.mark.parametrize("refine", [True, False])
 def test_edge_grids_are_pinned(refine):
     assert _pin(_edge_grids(refine)) == EDGE_GRID_PINS[refine]
+
+
+def _polish_rows():
+    """Rows whose ternary polish stops at different steps in one call.
+
+    Pairs departing at 2e4 s and later, km-scale and unit-scale, never
+    narrow their bracket to 1e-12 s (one ulp of the departure is wider) and
+    run all 200 steps; earlier ones stop after 61-71; windows of zero length
+    or narrower than 1e-12 s start stopped; disjoint windows give inf.
+    """
+    rng = np.random.default_rng(2207)
+    rows = []
+    km = [Mission(f"K{i}", Vec2(*rng.uniform(-2e4, 2e4, 2)),
+                  Vec2(*rng.uniform(-2e4, 2e4, 2)), rng.uniform(10.0, 40.0))
+          for i in range(6)]
+    for a, b in zip(km, km[1:] + km[:1]):
+        for ta in (0.0, 2e4, 5e4, 1e6):
+            rows += [(a, ta, b, tb)
+                     for tb in ta + rng.uniform(-b.duration, a.duration, 3)]
+    for a, b in pair_stream(2207, 24):
+        rows += [(a, ta, b, ta + rng.uniform(-b.duration, a.duration))
+                 for ta in (0.0, 3.0, 100.0, 2e4)]
+        rows += [(a, 0.0, b, a.duration), (a, 7.0, b, 7.0 - b.duration),
+                 (a, 0.0, b, a.duration - 4e-13), (a, 0.0, b, a.duration + 0.5),
+                 (a, 1e6, b, 1e6 - b.duration - 0.5)]
+    return zip(*rows)
+
+
+def test_polish_output_is_pinned():
+    firsts, t_firsts, seconds, t_seconds = _polish_rows()
+    seps = [oracle.pairs_min_sep_sq(firsts, t_firsts, seconds, t_seconds, dt, True)
+            for dt in (0.05, 1.0)]
+    assert np.isinf(seps[0]).sum() == 48
+    assert _pin(seps) == POLISH_PIN
 
 
 def _schedules():

@@ -5,7 +5,7 @@ import pytest
 
 from deconflict import atlanta
 from deconflict.errors import ScenarioFormatError
-from deconflict.geo import mph_to_mps
+from deconflict.geo import GeoPoint, haversine_m, mph_to_mps
 from deconflict.scenario_io import parse_scenario, read_scenario
 
 METRIC = {
@@ -90,6 +90,29 @@ def test_geodetic_span_beyond_projection_range_rejected():
     data["missions"][0]["destination"] = [40.7, -74.0]  # ~1200 km away
     with pytest.raises(ScenarioFormatError):
         parse_scenario(data)
+
+
+def test_geodetic_scenario_across_the_antimeridian():
+    # the centroid of endpoints on both sides of +-180 lies between them,
+    # not half a world away; the missions match the same scenario shifted
+    # 180 degrees onto the prime meridian
+    def scenario(lon_a, lon_b):
+        return {"version": 1, "units": "geodetic", "separation_h": 150.0,
+                "missions": [
+                    {"id": "w", "origin": [0.05, lon_a], "destination": [-0.05, lon_b],
+                     "speed": 62.4},
+                    {"id": "e", "origin": [-0.05, lon_b], "destination": [0.05, lon_a],
+                     "speed": 62.4}]}
+    across, _ = parse_scenario(scenario(179.9, -179.95))
+    meridian, _ = parse_scenario(scenario(-0.1, 0.05))
+    for m, n in zip(across, meridian):
+        for p, q in ((m.origin, n.origin), (m.destination, n.destination)):
+            assert p.x == pytest.approx(q.x, abs=1e-6)
+            assert p.y == pytest.approx(q.y, abs=1e-6)
+    # w flies 0.15 degrees east, across +-180
+    assert across[0].origin.x < across[0].destination.x
+    assert (across[0].destination - across[0].origin).norm() == pytest.approx(
+        haversine_m(GeoPoint(0.05, 179.9), GeoPoint(-0.05, -179.95)), rel=0.005)
 
 
 def test_invalid_json_file(tmp_path):
