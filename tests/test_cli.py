@@ -55,6 +55,21 @@ ARTIFACT_PINS = {
         "5fd99cc50b3382bdc6ab10b4d4af714237d212e318d6b5b8ca8594f9b5090205",
 }
 
+# sha256 of each file the montecarlo and fit runs write in
+# test_statistics_artifacts_are_pinned; one changed byte fails it
+STATISTICS_PINS = {
+    "pooled/samples.csv":
+        "3bc1484ce4e8fd95b024c9d2633b0b66a6ecd941b406ca6914cd8017b7d4ed93",
+    "pooled/fit.json":
+        "9ea51a0854e2d0ad07f5fff3eb36b910fffa1fe45c5f9934dd42dcb3700f643b",
+    "optimal/samples.csv":
+        "98568ef55bfe65978c4279486037d06f8e2e185ef6eebd1bb4c176f9fcb2ccd7",
+    "optimal/fit.json":
+        "42cb966fe51362f89dd8fe5c638e401ed04b9be08dbbd1d862654fc28a305347",
+    "fit/fit.json":
+        "497ec07ff3a5a2ad3f654a2ba19c131823c236ff5f72ba93c3003a6cbec5cc3c",
+}
+
 # sha256 of the exit codes and stdout of every solve-pair run in
 # test_solve_pair_output_is_pinned; one changed byte fails it
 SOLVE_PAIR_PIN = "49d0c792e4670c42edb25ca82da7728251499fd028e2831c9605f81dc9b1f0ae"
@@ -344,6 +359,25 @@ def test_cli_artifacts_are_pinned(scenario_path, tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ARTIFACT_PINS}
     assert digests == ARTIFACT_PINS
+
+
+def test_statistics_artifacts_are_pinned(tmp_path, capsys):
+    # the pooled run has 600 zero delays of 4,800, which the fit excludes;
+    # the optimal run fits 95 positive samples of 100
+    for argv in (["montecarlo", "--n-agents", "4", "--topologies", "200",
+                  "--seed", "2026", "--out", str(tmp_path / "pooled")],
+                 ["montecarlo", "--n-agents", "5", "--mode", "optimal",
+                  "--topologies", "100", "--seed", "2026",
+                  "--out", str(tmp_path / "optimal")],
+                 ["fit", str(tmp_path / "pooled" / "samples.csv"), "--bins", "20",
+                  "--out", str(tmp_path / "fit")]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "pooled" / "fit.json").read_text())[
+        "n_excluded_nonpositive"] == 600
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in STATISTICS_PINS}
+    assert digests == STATISTICS_PINS
 
 
 def test_solve_pair_output_is_pinned(scenario_path, capsys):
