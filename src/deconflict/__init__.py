@@ -6,7 +6,8 @@ open interval, computed in closed form over the finite flight windows. A
 greedy pass assigns each flight the earliest feasible departure for a fixed
 order; exhaustive order search minimizes total delay; a seeded Monte Carlo
 harness and distribution fitting characterize delay statistics across
-traffic densities.
+traffic densities; `fit_report` fits, scores and selects the delay
+distribution in one pass.
 
 The pair solver (kinematics) is plain-Python float math; the brute-force
 oracle that checks it (oracle) shares no code with it and samples each
@@ -24,8 +25,7 @@ from .optimizer import SearchResult, optimize_order, per_order_table
 from .scenario import (AirspaceConfig, MonteCarloResult, generate_topology,
                        run_monte_carlo)
 from .scheduler import Schedule, greedy_schedule
-from .statfit import (DistributionFamily, FitResult, Histogram, fit,
-                      fit_report, make_histogram, pdf, select_best)
+from .statfit import DistributionFamily, fit_report
 
 __version__ = "0.1.0"
 

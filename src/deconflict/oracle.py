@@ -122,7 +122,11 @@ def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
     # row i samples w0 + j*dt for j < n[i] - 1 and then w1; +inf pads the
     # rest of its block. Widest rows first, so a block's first row is its
     # widest and sets how many rows fit in CHUNK.
-    n = ((w1[rows] - w0[rows]) / dt).astype(np.int64) + 2
+    steps = (w1[rows] - w0[rows]) / dt
+    if not (steps < 2.0 ** 63).all():  # also an overflowed inf or nan
+        raise ValueError(f"a co-airborne window spans {steps.max()!r} steps of dt "
+                         f"{dt!r}, beyond the int64 sample count")
+    n = steps.astype(np.int64) + 2
     by_width = np.argsort(-n)
     rows, n = rows[by_width], n[by_width]
     ux, uy, cx, cy, w0, w1 = (x[rows] for x in (ux, uy, cx, cy, w0, w1))

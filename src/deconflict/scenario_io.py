@@ -49,16 +49,21 @@ def _point(value, field: str) -> tuple[float, float]:
     return _number(value[0], field), _number(value[1], field)
 
 
+def _keys(obj: dict, keys: set, field=None) -> None:
+    """ScenarioFormatError on a key of obj outside keys, then on one missing."""
+    unknown = set(obj) - keys
+    if unknown:
+        raise ScenarioFormatError(f"unknown fields: {sorted(unknown)}", field)
+    missing = keys - set(obj)
+    if missing:
+        raise ScenarioFormatError(f"missing fields: {sorted(missing)}", field)
+
+
 def parse_scenario(data: dict) -> tuple[list[Mission], float]:
     """Validate a decoded scenario; return its missions and separation_h."""
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ScenarioFormatError(f"unknown fields: {sorted(unknown)}")
-    missing = _TOP_KEYS - set(data)
-    if missing:
-        raise ScenarioFormatError(f"missing fields: {sorted(missing)}")
+    _keys(data, _TOP_KEYS)
     # type check first: True == 1 and 1.0 == 1 in Python
     if type(data["version"]) is not int or data["version"] != SCENARIO_VERSION:
         raise ScenarioFormatError(
@@ -80,12 +85,7 @@ def parse_scenario(data: dict) -> tuple[list[Mission], float]:
         field = f"missions[{idx}]"
         if not isinstance(m, dict):
             raise ScenarioFormatError("mission must be an object", field)
-        unknown = set(m) - _MISSION_KEYS
-        if unknown:
-            raise ScenarioFormatError(f"unknown fields: {sorted(unknown)}", field)
-        missing = _MISSION_KEYS - set(m)
-        if missing:
-            raise ScenarioFormatError(f"missing fields: {sorted(missing)}", field)
+        _keys(m, _MISSION_KEYS, field)
         mid = m["id"]
         if not isinstance(mid, str) or not mid:
             raise ScenarioFormatError(f"id must be a non-empty string, got {mid!r}",

@@ -1,5 +1,7 @@
-"""Histograms, distribution fitting, and SSR-based model selection.
+"""Distribution fitting and SSR-based model selection of delay samples.
 
+`fit_report` is the one entry: it builds one histogram, fits every
+family once, scores each against the histogram and selects the least SSR.
 The fitting protocol is fixed so SSR values are comparable across runs:
 50 uniform density-normalized bins, residuals taken at bin centers between
 the empirical density and the fitted pdf. Normal and log-normal use
@@ -13,7 +15,6 @@ ln Γ(a) + ln Γ(b) − ln Γ(a + b), and ψ, ψ′ are recurrences plus asympto
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,35 +28,18 @@ BETA_SUPPORT_PAD = 0.01
 
 
 class DistributionFamily(Enum):
-    # enum definition order is the tie-break order of select_best
+    # enum definition order is the tie-break order of fit_report
     NORMAL = "normal"
     LOG_NORMAL = "log_normal"
     BETA = "beta"
     GAMMA = "gamma"
 
 
-@dataclass(frozen=True, eq=False)
-class Histogram:
-    """Uniform-bin density histogram; densities integrate to one."""
-    bin_edges: np.ndarray
-    densities: np.ndarray
+def _histogram(x: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Densities and bin centers of `bins` uniform bins over [min, max].
 
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Fitted parameters of one family plus its goodness-of-fit SSR."""
-    family: DistributionFamily
-    params: dict
-    ssr: float
-
-
-def make_histogram(samples, bins: int) -> Histogram:
-    """Density-normalized histogram with `bins` uniform bins over [min, max]."""
-    x = np.asarray(samples, dtype=np.float64)
+    The densities integrate to one.
+    """
     if x.size < 2:
         raise ValueError(f"need at least 2 samples, got {x.size}")
     if bins < 2:
@@ -65,42 +49,43 @@ def make_histogram(samples, bins: int) -> Histogram:
     if lo == hi:
         raise DegenerateSamples(f"all {x.size} samples equal {lo}")
     densities, edges = np.histogram(x, bins=bins, range=(lo, hi), density=True)
-    return Histogram(bin_edges=edges, densities=densities)
+    return densities, 0.5 * (edges[:-1] + edges[1:])
 
 
-def pdf(fit: FitResult, x) -> np.ndarray:
-    """Evaluate the fitted probability density at x."""
-    x = np.asarray(x, dtype=np.float64)
-    p = fit.params
-    if fit.family is DistributionFamily.NORMAL:
-        mu, sigma = p["mu"], p["sigma"]
-        z = (x - mu) / sigma
-        return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-    if fit.family is DistributionFamily.LOG_NORMAL:
-        mu, sigma = p["mu"], p["sigma"]
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        z = (np.log(x[pos]) - mu) / sigma
-        out[pos] = np.exp(-0.5 * z * z) / (x[pos] * sigma * math.sqrt(2.0 * math.pi))
-        return out
-    if fit.family is DistributionFamily.GAMMA:
-        k, theta = p["shape"], p["scale"]
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        xp = x[pos]
-        out[pos] = np.exp((k - 1.0) * np.log(xp) - xp / theta
-                          - math.lgamma(k) - k * math.log(theta))
-        return out
-    if fit.family is DistributionFamily.BETA:
-        a, b, loc, scale = p["alpha"], p["beta"], p["loc"], p["scale"]
-        out = np.zeros_like(x)
-        u = (x - loc) / scale
-        inside = (u > 0.0) & (u < 1.0)
-        ui = u[inside]
-        out[inside] = np.exp((a - 1.0) * np.log(ui) + (b - 1.0) * np.log1p(-ui)
-                             - _betaln(a, b)) / scale
-        return out
-    raise ValueError(f"unknown family {fit.family}")
+def _normal_pdf(p: dict, x: np.ndarray) -> np.ndarray:
+    mu, sigma = p["mu"], p["sigma"]
+    z = (x - mu) / sigma
+    return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+
+
+def _log_normal_pdf(p: dict, x: np.ndarray) -> np.ndarray:
+    mu, sigma = p["mu"], p["sigma"]
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    z = (np.log(x[pos]) - mu) / sigma
+    out[pos] = np.exp(-0.5 * z * z) / (x[pos] * sigma * math.sqrt(2.0 * math.pi))
+    return out
+
+
+def _gamma_pdf(p: dict, x: np.ndarray) -> np.ndarray:
+    k, theta = p["shape"], p["scale"]
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    xp = x[pos]
+    out[pos] = np.exp((k - 1.0) * np.log(xp) - xp / theta
+                      - math.lgamma(k) - k * math.log(theta))
+    return out
+
+
+def _beta_pdf(p: dict, x: np.ndarray) -> np.ndarray:
+    a, b, loc, scale = p["alpha"], p["beta"], p["loc"], p["scale"]
+    out = np.zeros_like(x)
+    u = (x - loc) / scale
+    inside = (u > 0.0) & (u < 1.0)
+    ui = u[inside]
+    out[inside] = np.exp((a - 1.0) * np.log(ui) + (b - 1.0) * np.log1p(-ui)
+                         - _betaln(a, b)) / scale
+    return out
 
 
 def _betaln(a: float, b: float) -> float:
@@ -134,8 +119,6 @@ def _fit_normal(x: np.ndarray) -> dict:
 
 
 def _fit_log_normal(x: np.ndarray) -> dict:
-    if np.any(x <= 0.0):
-        raise FitDomainError("log-normal requires strictly positive samples")
     lx = np.log(x)
     sigma = float(np.sqrt(np.var(lx)))
     if sigma == 0.0:
@@ -144,8 +127,6 @@ def _fit_log_normal(x: np.ndarray) -> dict:
 
 
 def _fit_gamma(x: np.ndarray) -> dict:
-    if np.any(x <= 0.0):
-        raise FitDomainError("gamma requires strictly positive samples")
     mean = float(np.mean(x))
     var = float(np.var(x))
     if var == 0.0:
@@ -192,46 +173,13 @@ def _fit_beta(x: np.ndarray) -> dict:
             "loc": loc, "scale": scale}
 
 
-_FITTERS = {
-    DistributionFamily.NORMAL: _fit_normal,
-    DistributionFamily.LOG_NORMAL: _fit_log_normal,
-    DistributionFamily.GAMMA: _fit_gamma,
-    DistributionFamily.BETA: _fit_beta,
+# (fitter, density) of each family
+_FAMILIES = {
+    DistributionFamily.NORMAL: (_fit_normal, _normal_pdf),
+    DistributionFamily.LOG_NORMAL: (_fit_log_normal, _log_normal_pdf),
+    DistributionFamily.GAMMA: (_fit_gamma, _gamma_pdf),
+    DistributionFamily.BETA: (_fit_beta, _beta_pdf),
 }
-
-
-def fit(samples, family: DistributionFamily, bins: int = DEFAULT_BINS) -> FitResult:
-    """Fit one family and score it against the sample histogram.
-
-    SSR is the sum over bins of the squared gap between the empirical
-    density and the fitted pdf at the bin center.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    return _scored(x, make_histogram(x, bins), family)
-
-
-def _scored(x: np.ndarray, hist: Histogram, family: DistributionFamily) -> FitResult:
-    """Fit one family to x and score it against x's histogram."""
-    params = _FITTERS[family](x)
-    fitted = FitResult(family=family, params=params, ssr=0.0)
-    residuals = hist.densities - pdf(fitted, hist.centers)
-    return FitResult(family=family, params=params,
-                     ssr=float(np.sum(residuals * residuals)))
-
-
-def _least_ssr(fits) -> FitResult:
-    """The fit with minimal SSR; ties go to the one listed first."""
-    return min(fits, key=lambda r: r.ssr)
-
-
-def select_best(samples, bins: int = DEFAULT_BINS) -> FitResult:
-    """Fit every family and return the one with minimal SSR.
-
-    Ties go to the family listed first in DistributionFamily.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    hist = make_histogram(x, bins)
-    return _least_ssr([_scored(x, hist, fam) for fam in DistributionFamily])
 
 
 def fit_report(samples, bins: int = DEFAULT_BINS) -> dict:
@@ -242,27 +190,38 @@ def fit_report(samples, bins: int = DEFAULT_BINS) -> dict:
     that every family is scored against the same histogram, nonpositive
     samples are dropped first; n_excluded_nonpositive in the report counts
     them. A non-finite sample raises ValueError.
+
+    Each family's SSR is the sum over bins of the squared gap between the
+    empirical density and the fitted pdf at the bin center. The family
+    with the least SSR is selected; ties go to the one listed first in
+    DistributionFamily.
     """
     x = np.asarray(samples, dtype=np.float64)
     n_raw = int(x.size)
     if not np.isfinite(x).all():
         raise ValueError(f"samples must be finite, got {x[~np.isfinite(x)][0]}")
     x = x[x > 0.0]
-    hist = make_histogram(x, bins)
-    fits = [_scored(x, hist, fam) for fam in DistributionFamily]
-    best = _least_ssr(fits)
+    densities, centers = _histogram(x, bins)
+    fits = []
+    for family in DistributionFamily:
+        fitter, density = _FAMILIES[family]
+        params = fitter(x)
+        fitted = density(params, centers)
+        residuals = densities - fitted
+        fits.append((family, params, float(np.sum(residuals * residuals)), fitted))
+    best, _, _, best_fitted = min(fits, key=lambda f: f[2])
     return {
         "bins": bins,
         "n_samples": int(x.size),
         "n_excluded_nonpositive": n_raw - int(x.size),
-        "selected": best.family.value,
+        "selected": best.value,
         "fits": [
             {
-                "family": r.family.value,
-                "params": {k: float(v) for k, v in r.params.items()},
-                "ssr": r.ssr,
+                "family": family.value,
+                "params": {k: float(v) for k, v in params.items()},
+                "ssr": ssr,
             }
-            for r in fits
+            for family, params, ssr, _ in fits
         ],
         "curves": [
             {
@@ -270,7 +229,6 @@ def fit_report(samples, bins: int = DEFAULT_BINS) -> dict:
                 "empirical": float(d),
                 "fitted": float(f),
             }
-            for c, d, f in zip(hist.centers, hist.densities,
-                               pdf(best, hist.centers))
+            for c, d, f in zip(centers, densities, best_fitted)
         ],
     }

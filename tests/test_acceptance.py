@@ -19,7 +19,7 @@ from deconflict.kinematics import (IntervalKind, SeparationConfig,
 from deconflict.optimizer import optimize_order
 from deconflict.scenario import AirspaceConfig, generate_topology, run_monte_carlo
 from deconflict.scheduler import greedy_schedule
-from deconflict.statfit import DistributionFamily, fit, select_best
+from deconflict.statfit import DistributionFamily, fit_report
 from helpers import child_env, pair_stream
 
 H = 1.5
@@ -192,26 +192,25 @@ def test_ac5_distribution_ordering(density_runs):
     conflict) are counted and disclosed.
     """
     d = density_runs[4].delays
-    pos = d[d > 0.0]
-    ssr = {fam: fit(pos, fam).ssr for fam in DistributionFamily}
-    best = select_best(pos)
+    fitted = fit_report(d)
+    ssr = {DistributionFamily(f["family"]): f["ssr"] for f in fitted["fits"]}
+    best = DistributionFamily(fitted["selected"])
     gamma_lt = ssr[DistributionFamily.GAMMA] < ssr[DistributionFamily.NORMAL]
     logn_lt = ssr[DistributionFamily.LOG_NORMAL] < ssr[DistributionFamily.NORMAL]
-    best_ok = best.family in (DistributionFamily.GAMMA,
-                              DistributionFamily.LOG_NORMAL)
-    print(f"\n4-agent pooled: {len(d)} samples, {len(d) - len(pos)} zero "
-          f"delays excluded by positive support")
+    best_ok = best in (DistributionFamily.GAMMA, DistributionFamily.LOG_NORMAL)
+    print(f"\n4-agent pooled: {len(d)} samples, "
+          f"{fitted['n_excluded_nonpositive']} zero delays excluded by positive "
+          f"support")
     for fam in DistributionFamily:
         print(f"  SSR {fam.value}: {ssr[fam]:.5f}")
     for n in (5, 6, 7):
-        dn = density_runs[n].delays
-        pn = dn[dn > 0.0]
-        extra = {f.value: fit(pn, f).ssr for f in DistributionFamily}
+        extra = {f["family"]: f["ssr"]
+                 for f in fit_report(density_runs[n].delays)["fits"]}
         print(f"  (informational N={n}: "
               + ", ".join(f"{k}={v:.4f}" for k, v in extra.items()) + ")")
     report("AC5 SSR ordering", gamma_lt and logn_lt and best_ok,
            f"gamma<normal: {gamma_lt}, lognormal<normal: {logn_lt}, "
-           f"selected: {best.family.value}")
+           f"selected: {best.value}")
 
 
 @pytest.mark.acceptance
@@ -258,11 +257,12 @@ def test_ac6_atlanta_case_study():
 def test_ac7_statfit_round_trip():
     """Gamma(9, 2) parameter recovery and Normal self-selection."""
     draws = np.random.default_rng(SEED).gamma(9.0, 2.0, 100_000)
-    r = fit(draws, DistributionFamily.GAMMA)
-    shape_err = abs(r.params["shape"] - 9.0)
-    scale_err = abs(r.params["scale"] - 2.0)
+    gamma = next(f["params"] for f in fit_report(draws)["fits"]
+                 if f["family"] == DistributionFamily.GAMMA.value)
+    shape_err = abs(gamma["shape"] - 9.0)
+    scale_err = abs(gamma["scale"] - 2.0)
     normal_draws = np.random.default_rng(SEED + 1).normal(30.0, 4.0, 100_000)
-    chosen = select_best(normal_draws).family
+    chosen = DistributionFamily(fit_report(normal_draws)["selected"])
     ok = shape_err <= 0.3 and scale_err <= 0.1 and chosen is DistributionFamily.NORMAL
     report("AC7 statfit round trip", ok,
            f"shape err {shape_err:.3f} (gate 0.3), scale err {scale_err:.3f} "

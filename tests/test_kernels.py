@@ -1,8 +1,8 @@
 """Checks of the hot paths through the public entry points: the oracle's
 outputs pinned bit for bit, its checks of the sampling step, the departure
-times and the input lengths, clamped-window edge cases, and the pair solver's
-tangency, corner and sliver cases and certified endpoints, and the oracle's
-independence from the solver's code."""
+times, the input lengths and the sample count, clamped-window edge cases,
+and the pair solver's tangency, corner and sliver cases and certified
+endpoints, and the oracle's independence from the solver's code."""
 
 import ast
 import hashlib
@@ -198,6 +198,18 @@ def test_oracle_rejects_inputs_of_unequal_length():
         oracle.schedule_is_safe([a, b], [0.0, 0.5, 1.0], 1.5, 0.05)
     with pytest.raises(ValueError, match="length"):
         oracle.pairs_min_sep_sq([a, b], [0.0, 0.0], [b], [0.5, 1.0], 0.05)
+
+
+def test_oracle_rejects_windows_beyond_int64_samples():
+    # 1e300 steps of dt would wrap the int64 sample count negative
+    a = Mission("a", Vec2(0.0, 0.0), Vec2(1e300, 0.0), 1.0)
+    b = Mission("b", Vec2(0.0, 1.0), Vec2(1e300, 1.0), 1.0)
+    with pytest.raises(ValueError, match="int64"):
+        oracle.pairs_min_sep_sq([a], [0.0], [b], [0.0], 1.0)
+    with pytest.raises(ValueError, match="int64"):
+        oracle.delta_grid_min_sep_sq(a, b, np.array([0.0, 1.0]), 1.0)
+    with pytest.raises(ValueError, match="int64"):
+        oracle.schedule_pair_min_seps([a, b], [0.0, 0.0], 1.0)
 
 
 def test_pair_min_sep_disjoint_windows():

@@ -69,6 +69,23 @@ def test_schema_violations_rejected(mutate, field):
         parse_scenario(data)
 
 
+@pytest.mark.parametrize("mutate,message,field", [
+    (lambda d: d.update(extra=1, zz=2), "unknown fields: ['extra', 'zz']", None),
+    (lambda d: d.pop("units"), "missing fields: ['units']", None),
+    (lambda d: d["missions"][1].update(color="red"),
+     "missions[1]: unknown fields: ['color']", "missions[1]"),
+    (lambda d: (d["missions"][0].pop("speed"), d["missions"][0].pop("id")),
+     "missions[0]: missing fields: ['id', 'speed']", "missions[0]"),
+])
+def test_key_errors_name_the_keys_and_the_object(mutate, message, field):
+    data = json.loads(json.dumps(METRIC))
+    mutate(data)
+    with pytest.raises(ScenarioFormatError) as exc:
+        parse_scenario(data)
+    assert str(exc.value) == message
+    assert exc.value.field == field
+
+
 @pytest.mark.parametrize("version", [True, 1.0, "1"])
 def test_version_must_be_the_integer_1(version):
     data = json.loads(json.dumps(METRIC))

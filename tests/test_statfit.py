@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import subprocess
 import sys
@@ -7,116 +6,121 @@ import numpy as np
 import pytest
 
 from deconflict import statfit
-from deconflict.errors import DegenerateSamples, FitDomainError, NonConvergence
-from deconflict.statfit import (DistributionFamily, fit, fit_report,
-                                make_histogram, pdf, select_best)
+from deconflict.errors import DegenerateSamples, NonConvergence
+from deconflict.statfit import DistributionFamily, fit_report
 from helpers import child_env
+
+
+def params_of(report, family):
+    return next(f["params"] for f in report["fits"] if f["family"] == family.value)
+
+
+def ssr_of(report, family):
+    return next(f["ssr"] for f in report["fits"] if f["family"] == family.value)
+
+
+def histogram_integral(report):
+    centers = [c["bin_center"] for c in report["curves"]]
+    width = (centers[-1] - centers[0]) / (len(centers) - 1)
+    return sum(c["empirical"] for c in report["curves"]) * width
 
 
 class TestMakeHistogram:
     def test_two_equal_mass_bins(self):
-        hist = make_histogram([1.0, 1.0, 3.0, 3.0], bins=2)
-        assert hist.bin_edges.tolist() == [1.0, 2.0, 3.0]
-        assert hist.densities.tolist() == [0.5, 0.5]
-        assert np.sum(hist.densities * np.diff(hist.bin_edges)) == pytest.approx(
-            1.0, abs=1e-12)
+        report = fit_report([1.0, 1.0, 3.0, 3.0], bins=2)
+        assert [c["bin_center"] for c in report["curves"]] == [1.5, 2.5]
+        assert [c["empirical"] for c in report["curves"]] == [0.5, 0.5]
+        assert histogram_integral(report) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_samples_rejected(self):
-        with pytest.raises(DegenerateSamples):
-            make_histogram([2.0] * 10, bins=5)
+        with pytest.raises(DegenerateSamples, match="all 10 samples equal 2.0"):
+            fit_report([2.0] * 10, bins=5)
 
     def test_integral_is_one_for_gamma_draws(self):
         x = np.random.default_rng(0).gamma(9.0, 2.0, 100_000)
-        hist = make_histogram(x, bins=50)
-        assert np.sum(hist.densities * np.diff(hist.bin_edges)) == pytest.approx(
-            1.0, abs=1e-9)
+        report = fit_report(x, bins=50)
+        assert histogram_integral(report) == pytest.approx(1.0, abs=1e-9)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            make_histogram([1.0], bins=2)
-        with pytest.raises(ValueError):
-            make_histogram([1.0, 2.0], bins=1)
+        with pytest.raises(ValueError, match="need at least 2 samples, got 1"):
+            fit_report([1.0], bins=2)
+        with pytest.raises(ValueError, match="need at least 2 bins, got 1"):
+            fit_report([1.0, 2.0], bins=1)
 
 
 class TestFit:
     def test_normal_closed_form_mle(self):
-        r = fit([-1.0, 0.0, 1.0], DistributionFamily.NORMAL, bins=2)
-        assert r.params["mu"] == pytest.approx(0.0)
-        assert r.params["sigma"] ** 2 == pytest.approx(2.0 / 3.0)
+        # population variance 0.5, not the sample variance 2/3
+        p = params_of(fit_report([1.0, 2.0, 2.0, 3.0], bins=2),
+                      DistributionFamily.NORMAL)
+        assert p["mu"] == pytest.approx(2.0)
+        assert p["sigma"] ** 2 == pytest.approx(0.5)
 
     def test_gamma_recovery(self):
         x = np.random.default_rng(1).gamma(9.0, 2.0, 100_000)
-        r = fit(x, DistributionFamily.GAMMA)
-        assert abs(r.params["shape"] - 9.0) <= 0.3
-        assert abs(r.params["scale"] - 2.0) <= 0.1
+        p = params_of(fit_report(x), DistributionFamily.GAMMA)
+        assert abs(p["shape"] - 9.0) <= 0.3
+        assert abs(p["scale"] - 2.0) <= 0.1
 
     @pytest.mark.parametrize("shape", [2.0, 9.0, 20.0])
     def test_gamma_round_trip_within_5_percent(self, shape):
         x = np.random.default_rng(int(shape)).gamma(shape, 2.0, 100_000)
-        r = fit(x, DistributionFamily.GAMMA)
-        assert abs(r.params["shape"] - shape) / shape <= 0.05
-        assert abs(r.params["scale"] - 2.0) / 2.0 <= 0.05
+        p = params_of(fit_report(x), DistributionFamily.GAMMA)
+        assert abs(p["shape"] - shape) / shape <= 0.05
+        assert abs(p["scale"] - 2.0) / 2.0 <= 0.05
 
     def test_log_normal_recovery(self):
         rng = np.random.default_rng(2)
         x = np.exp(rng.normal(1.2, 0.4, 100_000))
-        r = fit(x, DistributionFamily.LOG_NORMAL)
-        assert r.params["mu"] == pytest.approx(1.2, abs=0.01)
-        assert r.params["sigma"] == pytest.approx(0.4, abs=0.01)
+        p = params_of(fit_report(x), DistributionFamily.LOG_NORMAL)
+        assert p["mu"] == pytest.approx(1.2, abs=0.01)
+        assert p["sigma"] == pytest.approx(0.4, abs=0.01)
 
     def test_beta_support_mapping(self):
         rng = np.random.default_rng(3)
         x = rng.beta(2.0, 5.0, 50_000) * 10.0 + 4.0
-        r = fit(x, DistributionFamily.BETA)
-        assert r.params["alpha"] > 0 and r.params["beta"] > 0
-        assert r.params["loc"] < x.min() and r.params["loc"] + r.params["scale"] > x.max()
+        p = params_of(fit_report(x), DistributionFamily.BETA)
+        assert p["alpha"] > 0 and p["beta"] > 0
+        assert p["loc"] < x.min() and p["loc"] + p["scale"] > x.max()
         # pdf integrates to ~1 over the mapped support
-        grid = np.linspace(r.params["loc"], r.params["loc"] + r.params["scale"], 20_001)
-        integral = np.trapezoid(pdf(r, grid), grid)
+        grid = np.linspace(p["loc"], p["loc"] + p["scale"], 20_001)
+        integral = np.trapezoid(statfit._beta_pdf(p, grid), grid)
         assert integral == pytest.approx(1.0, abs=1e-3)
-
-    def test_nonpositive_samples_rejected_where_required(self):
-        x = np.array([0.0, 1.0, 2.0, 3.0])
-        for fam in (DistributionFamily.LOG_NORMAL, DistributionFamily.GAMMA):
-            with pytest.raises(FitDomainError):
-                fit(x, fam)
 
     def test_gamma_nonconvergence_surfaces(self, monkeypatch):
         monkeypatch.setattr(statfit, "GAMMA_NEWTON_MAX_ITER", 0)
         x = np.random.default_rng(4).gamma(3.0, 1.0, 1_000)
         with pytest.raises(NonConvergence):
-            fit(x, DistributionFamily.GAMMA)
+            fit_report(x)
 
     def test_ssr_nonnegative_and_bin_dependent(self):
         x = np.random.default_rng(5).gamma(4.0, 1.5, 20_000)
-        r50 = fit(x, DistributionFamily.GAMMA, bins=50)
-        r20 = fit(x, DistributionFamily.GAMMA, bins=20)
-        assert r50.ssr >= 0.0 and r20.ssr >= 0.0
-        assert r50.ssr != r20.ssr  # SSR is a bin-protocol-dependent score
+        r50 = ssr_of(fit_report(x, bins=50), DistributionFamily.GAMMA)
+        r20 = ssr_of(fit_report(x, bins=20), DistributionFamily.GAMMA)
+        assert r50 >= 0.0 and r20 >= 0.0
+        assert r50 != r20  # SSR is a bin-protocol-dependent score
 
 
 class TestSelectBest:
     def test_returns_argmin_ssr(self):
         x = np.random.default_rng(6).gamma(9.0, 2.0, 100_000)
-        best = select_best(x)
+        report = fit_report(x)
+        best = ssr_of(report, DistributionFamily(report["selected"]))
         for fam in DistributionFamily:
-            assert best.ssr <= fit(x, fam).ssr
+            assert best <= ssr_of(report, fam)
 
     def test_normal_data_selects_normal(self):
         x = np.random.default_rng(7).normal(50.0, 5.0, 100_000)
-        assert select_best(x).family is DistributionFamily.NORMAL
+        assert fit_report(x)["selected"] == DistributionFamily.NORMAL.value
 
     def test_gamma_like_data_prefers_skewed_family(self):
         # a skewed family beats normal, and the selection is not normal
         x = np.random.default_rng(8).gamma(9.0, 2.0, 100_000)
-        skewed = min(fit(x, DistributionFamily.GAMMA).ssr,
-                     fit(x, DistributionFamily.LOG_NORMAL).ssr)
-        assert skewed < fit(x, DistributionFamily.NORMAL).ssr
-        assert select_best(x).family is not DistributionFamily.NORMAL
-
-    def test_domain_errors_propagate(self):
-        with pytest.raises(FitDomainError):
-            select_best(np.array([-1.0, 0.5, 2.0, 3.0]))
+        report = fit_report(x)
+        skewed = min(ssr_of(report, DistributionFamily.GAMMA),
+                     ssr_of(report, DistributionFamily.LOG_NORMAL))
+        assert skewed < ssr_of(report, DistributionFamily.NORMAL)
+        assert report["selected"] != DistributionFamily.NORMAL.value
 
 
 class TestFitReport:
@@ -133,25 +137,43 @@ class TestFitReport:
                         if f["family"] == report["selected"])
         assert selected["ssr"] == best_ssr
 
+    def test_nonpositive_samples_excluded_and_counted(self):
+        pos = np.random.default_rng(12).gamma(3.0, 1.0, 500)
+        x = np.concatenate([[0.0, -1.5], pos[:250], [0.0, -0.0], pos[250:]])
+        report = fit_report(x)
+        assert report["n_samples"] == 500
+        assert report["n_excluded_nonpositive"] == 4
+        assert [f["family"] for f in report["fits"]] == [
+            fam.value for fam in DistributionFamily]
+        # the excluded samples take no part in the fits
+        assert report == {**fit_report(pos), "n_excluded_nonpositive": 4}
+
     def test_fits_each_family_once_and_ties_go_to_the_first(self, monkeypatch):
-        # every SSR forced equal: normal, the first DistributionFamily member,
-        # is selected by fit_report and select_best alike, and each family
-        # is fitted once
-        real_scored = statfit._scored
+        # every density forced to zero makes every SSR equal: normal, the
+        # first DistributionFamily member, is selected, and each family is
+        # fitted and evaluated once
         calls = []
 
-        def tied_scored(x, hist, family):
-            calls.append(family)
-            return dataclasses.replace(real_scored(x, hist, family), ssr=1.0)
+        def counted(family, fitter):
+            def fit(x):
+                calls.append(("fit", family))
+                return fitter(x)
 
-        monkeypatch.setattr(statfit, "_scored", tied_scored)
+            def density(params, x):
+                calls.append(("pdf", family))
+                return np.zeros_like(x)
+            return fit, density
+
+        monkeypatch.setattr(statfit, "_FAMILIES", {
+            fam: counted(fam, fitter) for fam, (fitter, _) in statfit._FAMILIES.items()})
         x = np.random.default_rng(10).gamma(5.0, 2.0, 2_000)
         assert list(DistributionFamily)[0] is DistributionFamily.NORMAL
-        assert fit_report(x)["selected"] == "normal"
-        assert calls == list(DistributionFamily)
-        calls.clear()
-        assert select_best(x).family is DistributionFamily.NORMAL
-        assert calls == list(DistributionFamily)
+        report = fit_report(x)
+        assert report["selected"] == "normal"
+        assert len({f["ssr"] for f in report["fits"]}) == 1
+        assert calls == [(kind, fam) for fam in DistributionFamily
+                         for kind in ("fit", "pdf")]
+        assert all(c["fitted"] == 0.0 for c in report["curves"])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_rejected(self, bad):
