@@ -11,12 +11,9 @@ from deconflict.statfit import DistributionFamily, fit_report
 from helpers import child_env
 
 
-def params_of(report, family):
-    return next(f["params"] for f in report["fits"] if f["family"] == family.value)
-
-
-def ssr_of(report, family):
-    return next(f["ssr"] for f in report["fits"] if f["family"] == family.value)
+def fit_of(report, family):
+    """The report's entry for one family: its params and ssr."""
+    return next(f for f in report["fits"] if f["family"] == family.value)
 
 
 def histogram_integral(report):
@@ -51,35 +48,35 @@ class TestMakeHistogram:
 class TestFit:
     def test_normal_closed_form_mle(self):
         # population variance 0.5, not the sample variance 2/3
-        p = params_of(fit_report([1.0, 2.0, 2.0, 3.0], bins=2),
-                      DistributionFamily.NORMAL)
+        report = fit_report([1.0, 2.0, 2.0, 3.0], bins=2)
+        p = fit_of(report, DistributionFamily.NORMAL)["params"]
         assert p["mu"] == pytest.approx(2.0)
         assert p["sigma"] ** 2 == pytest.approx(0.5)
 
     def test_gamma_recovery(self):
         x = np.random.default_rng(1).gamma(9.0, 2.0, 100_000)
-        p = params_of(fit_report(x), DistributionFamily.GAMMA)
+        p = fit_of(fit_report(x), DistributionFamily.GAMMA)["params"]
         assert abs(p["shape"] - 9.0) <= 0.3
         assert abs(p["scale"] - 2.0) <= 0.1
 
     @pytest.mark.parametrize("shape", [2.0, 9.0, 20.0])
     def test_gamma_round_trip_within_5_percent(self, shape):
         x = np.random.default_rng(int(shape)).gamma(shape, 2.0, 100_000)
-        p = params_of(fit_report(x), DistributionFamily.GAMMA)
+        p = fit_of(fit_report(x), DistributionFamily.GAMMA)["params"]
         assert abs(p["shape"] - shape) / shape <= 0.05
         assert abs(p["scale"] - 2.0) / 2.0 <= 0.05
 
     def test_log_normal_recovery(self):
         rng = np.random.default_rng(2)
         x = np.exp(rng.normal(1.2, 0.4, 100_000))
-        p = params_of(fit_report(x), DistributionFamily.LOG_NORMAL)
+        p = fit_of(fit_report(x), DistributionFamily.LOG_NORMAL)["params"]
         assert p["mu"] == pytest.approx(1.2, abs=0.01)
         assert p["sigma"] == pytest.approx(0.4, abs=0.01)
 
     def test_beta_support_mapping(self):
         rng = np.random.default_rng(3)
         x = rng.beta(2.0, 5.0, 50_000) * 10.0 + 4.0
-        p = params_of(fit_report(x), DistributionFamily.BETA)
+        p = fit_of(fit_report(x), DistributionFamily.BETA)["params"]
         assert p["alpha"] > 0 and p["beta"] > 0
         assert p["loc"] < x.min() and p["loc"] + p["scale"] > x.max()
         # pdf integrates to ~1 over the mapped support
@@ -95,8 +92,8 @@ class TestFit:
 
     def test_ssr_nonnegative_and_bin_dependent(self):
         x = np.random.default_rng(5).gamma(4.0, 1.5, 20_000)
-        r50 = ssr_of(fit_report(x, bins=50), DistributionFamily.GAMMA)
-        r20 = ssr_of(fit_report(x, bins=20), DistributionFamily.GAMMA)
+        r50 = fit_of(fit_report(x, bins=50), DistributionFamily.GAMMA)["ssr"]
+        r20 = fit_of(fit_report(x, bins=20), DistributionFamily.GAMMA)["ssr"]
         assert r50 >= 0.0 and r20 >= 0.0
         assert r50 != r20  # SSR is a bin-protocol-dependent score
 
@@ -105,9 +102,9 @@ class TestSelectBest:
     def test_returns_argmin_ssr(self):
         x = np.random.default_rng(6).gamma(9.0, 2.0, 100_000)
         report = fit_report(x)
-        best = ssr_of(report, DistributionFamily(report["selected"]))
+        best = fit_of(report, DistributionFamily(report["selected"]))["ssr"]
         for fam in DistributionFamily:
-            assert best <= ssr_of(report, fam)
+            assert best <= fit_of(report, fam)["ssr"]
 
     def test_normal_data_selects_normal(self):
         x = np.random.default_rng(7).normal(50.0, 5.0, 100_000)
@@ -117,9 +114,9 @@ class TestSelectBest:
         # a skewed family beats normal, and the selection is not normal
         x = np.random.default_rng(8).gamma(9.0, 2.0, 100_000)
         report = fit_report(x)
-        skewed = min(ssr_of(report, DistributionFamily.GAMMA),
-                     ssr_of(report, DistributionFamily.LOG_NORMAL))
-        assert skewed < ssr_of(report, DistributionFamily.NORMAL)
+        skewed = min(fit_of(report, DistributionFamily.GAMMA)["ssr"],
+                     fit_of(report, DistributionFamily.LOG_NORMAL)["ssr"])
+        assert skewed < fit_of(report, DistributionFamily.NORMAL)["ssr"]
         assert report["selected"] != DistributionFamily.NORMAL.value
 
 
@@ -136,6 +133,11 @@ class TestFitReport:
         selected = next(f for f in report["fits"]
                         if f["family"] == report["selected"])
         assert selected["ssr"] == best_ssr
+        # the curves carry the selected family's density at the bin centers
+        density = statfit._FAMILIES[DistributionFamily(report["selected"])][1]
+        centers = np.array([c["bin_center"] for c in report["curves"]])
+        assert [c["fitted"] for c in report["curves"]] == density(
+            selected["params"], centers).tolist()
 
     def test_nonpositive_samples_excluded_and_counted(self):
         pos = np.random.default_rng(12).gamma(3.0, 1.0, 500)
@@ -165,7 +167,8 @@ class TestFitReport:
             return fit, density
 
         monkeypatch.setattr(statfit, "_FAMILIES", {
-            fam: counted(fam, fitter) for fam, (fitter, _) in statfit._FAMILIES.items()})
+            fam: counted(fam, fitter)
+            for fam, (fitter, _) in statfit._FAMILIES.items()})
         x = np.random.default_rng(10).gamma(5.0, 2.0, 2_000)
         assert list(DistributionFamily)[0] is DistributionFamily.NORMAL
         report = fit_report(x)
