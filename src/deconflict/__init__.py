@@ -14,9 +14,9 @@ oracle that checks it (oracle) shares no code with it and samples each
 window with numpy.
 """
 
-from .errors import (DeconflictError, DegenerateSamples, FitDomainError,
-                     NonConvergence, OutOfProjectionRange, ScenarioFormatError,
-                     TooManyAgents, TopologyRejectionExhausted, UnknownId)
+from .errors import (DeconflictError, DegenerateSamples, NonConvergence,
+                     OutOfProjectionRange, ScenarioFormatError, TooManyAgents,
+                     TopologyRejectionExhausted, UnknownId)
 from .geo import GeoPoint, haversine_m, minutes_to_seconds, mph_to_mps, project
 from .kinematics import (ForbiddenInterval, IntervalKind, Mission,
                          SeparationConfig, Vec2, forbidden_interval,

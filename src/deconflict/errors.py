@@ -17,10 +17,6 @@ class DegenerateSamples(DeconflictError):
     """All sample values are equal; no histogram support exists."""
 
 
-class FitDomainError(DeconflictError):
-    """Samples violate the support of the requested distribution family."""
-
-
 class NonConvergence(DeconflictError):
     """Iterative parameter refinement did not converge within its cap."""
 

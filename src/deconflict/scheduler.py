@@ -27,9 +27,6 @@ import numpy as np
 
 from .kinematics import IntervalKind, SeparationConfig, forbidden_interval
 
-#: departure sits on a forbidden-span edge within this |difference| -> binding
-BINDING_TOL = 1e-9
-
 
 def total_of(departures):
     """d0 + d1 + ..., added left to right.
@@ -46,8 +43,9 @@ class Schedule:
     """Departure times for one flight order.
 
     departures[i] is the departure (seconds, >= 0) of mission order[i].
-    bindings[i] lists the earlier mission ids whose forbidden span edges
-    the i-th departure sits on (its active constraints).
+    bindings[i] lists the earlier mission ids whose shifted forbidden span
+    ends exactly at the i-th departure (its active constraints). A delayed
+    departure is always the end of at least one such span.
     """
     order: tuple[str, ...]
     departures: tuple[float, ...]
@@ -197,16 +195,16 @@ def schedules(ids, hi, orders, deps) -> list[Schedule]:
 
     orders indexes ids and hi, as pair_arrays built them. Position j is
     bound to each earlier position i whose span's upper end, shifted by the
-    departure at i, lies within BINDING_TOL of the departure at j. The
-    float operations are those of place_next, so the bindings are the edges
-    the placement stopped on.
+    departure at i, equals the departure at j. place_next returns one of
+    these float sums as the departure, so the equality is exact; one
+    position is compared at a time, so no (R, n, n) array is built.
     """
     id_rows = order_ids(ids, orders)
-    near = [(np.abs(deps[:, j:j + 1] - (hi[orders[:, :j], orders[:, j:j + 1]]
-                                        + deps[:, :j])) <= BINDING_TOL).tolist()
-            for j in range(orders.shape[1])]
+    on_edge = [(hi[orders[:, :j], orders[:, j:j + 1]] + deps[:, :j]
+                == deps[:, j:j + 1]).tolist()
+               for j in range(orders.shape[1])]
     return [Schedule(order=o, departures=tuple(d),
-                     bindings=tuple(tuple(compress(o, m[r])) for m in near))
+                     bindings=tuple(tuple(compress(o, m[r])) for m in on_edge))
             for r, (o, d) in enumerate(zip(id_rows, deps.tolist()))]
 
 

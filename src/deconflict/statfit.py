@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSamples, FitDomainError, NonConvergence
+from .errors import DegenerateSamples, NonConvergence
 
 DEFAULT_BINS = 50
 GAMMA_NEWTON_MAX_ITER = 50
@@ -155,19 +155,16 @@ def _fit_gamma(x: np.ndarray) -> dict:
 
 
 def _fit_beta(x: np.ndarray) -> dict:
+    # fit_report has rejected equal samples, so v > 0, and the padding
+    # keeps every u in [0, 1), so v < m (1 - m) and both shapes are > 0
     lo = float(np.min(x))
     hi = float(np.max(x))
-    if lo == hi:
-        raise DegenerateSamples(f"all samples equal {lo}")
     pad = BETA_SUPPORT_PAD * (hi - lo)
     loc = lo - pad
     scale = (hi - lo) + 2.0 * pad
     u = (x - loc) / scale
     m = float(np.mean(u))
     v = float(np.var(u))
-    if v <= 0.0 or v >= m * (1.0 - m):
-        raise FitDomainError(
-            f"beta moments out of range (mean {m:.4g}, var {v:.4g})")
     common = m * (1.0 - m) / v - 1.0
     return {"alpha": m * common, "beta": (1.0 - m) * common,
             "loc": loc, "scale": scale}

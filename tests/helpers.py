@@ -11,7 +11,6 @@ import numpy as np
 import deconflict
 from deconflict.kinematics import ForbiddenInterval, IntervalKind, Mission, Vec2
 from deconflict.scenario import SIDE, SPEED_RANGE
-from deconflict.scheduler import BINDING_TOL
 
 MIN_ROUTE_LEN = 1.0
 
@@ -125,8 +124,7 @@ def reference_schedule(ids, pair_intervals):
             if hi > t:
                 t = hi
         departures.append(t)
-        bindings.append(tuple(other for _, hi, other in spans
-                              if abs(t - hi) <= BINDING_TOL))
+        bindings.append(tuple(other for _, hi, other in spans if t == hi))
     return tuple(departures), tuple(bindings)
 
 

@@ -10,7 +10,7 @@ import deconflict
 
 PUBLIC_NAMES = {
     # errors
-    "DeconflictError", "DegenerateSamples", "FitDomainError", "NonConvergence",
+    "DeconflictError", "DegenerateSamples", "NonConvergence",
     "OutOfProjectionRange", "ScenarioFormatError", "TooManyAgents",
     "TopologyRejectionExhausted", "UnknownId",
     # geo

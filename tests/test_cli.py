@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -5,7 +6,7 @@ import json
 import pytest
 
 from deconflict import cli
-from deconflict.errors import TopologyRejectionExhausted
+from deconflict.errors import ScenarioFormatError, TopologyRejectionExhausted
 from deconflict.kinematics import SeparationConfig
 from deconflict.optimizer import per_order_table
 from deconflict.scenario import AirspaceConfig, generate_topology
@@ -242,6 +243,16 @@ def test_montecarlo_over_cap_exits_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--n-agents", "0"], "n_agents must be >= 1, got 0"),
+    (["--n-agents", "3", "--h", "0"], "h must be positive, got 0.0"),
+    (["--n-agents", "3", "--h", "nan"], "h must be positive, got nan"),
+])
+def test_montecarlo_bad_airspace_exits_2(extra, message, capsys):
+    assert cli.main(["montecarlo", *extra, "--topologies", "2"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_montecarlo_nonpositive_workers_exits_2(capsys):
     assert cli.main(["montecarlo", "--n-agents", "3", "--topologies", "1",
                      "--workers", "-3"]) == 2
@@ -280,6 +291,23 @@ def test_fit_rejects_unfittable_samples(rows, message, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read"),
+    ("", "samples CSV is empty"),
+    ("\n\n", "samples CSV is empty"),
+    ("average_delay_s\n1.0\nfast\n", "bad CSV row: could not convert"),
+    ("n_agents,average_delay_s\n4,1.0\n4\n", "bad CSV row: list index"),
+])
+def test_fit_rejects_malformed_csv(text, message, tmp_path, capsys):
+    csv = tmp_path / "samples.csv"
+    if text is not None:
+        csv.write_text(text)
+    with pytest.raises(ScenarioFormatError, match=message):
+        cli.cmd_fit(argparse.Namespace(samples_csv=str(csv), bins=20, out=None))
+    assert cli.main(["fit", str(csv)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_casestudy_evaluates_24_orders(capsys):
     rc = cli.main(["casestudy", "--h", "300"])
     out = capsys.readouterr().out
@@ -310,6 +338,24 @@ def test_non_integer_version_exits_2(version, scenario_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "version: unsupported version" in captured.err
+
+
+@pytest.mark.parametrize("payload,message", [
+    ([CROSSING], "scenario must be a JSON object"),
+    ({**CROSSING, "missions": ["a"]}, "missions[0]: mission must be an object"),
+    ({**CROSSING, "missions": [{**CROSSING["missions"][0], "speed": True}]},
+     "missions[0].speed: expected a number, got True"),
+    ({**CROSSING, "missions": [{**CROSSING["missions"][0], "speed": "fast"}]},
+     "missions[0].speed: expected a number, got 'fast'"),
+    (None, "cannot read"),
+])
+def test_malformed_scenario_exits_2(payload, message, scenario_path, tmp_path,
+                                    capsys):
+    path = str(tmp_path / "missing.json") if payload is None else scenario_path(payload)
+    assert cli.main(["schedule", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
 
 
 def test_infeasible_maps_to_exit_3(monkeypatch, scenario_path):

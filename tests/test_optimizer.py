@@ -202,6 +202,11 @@ class TestOptimizeOrder:
         with pytest.raises(ValueError, match="distinct"):
             order_averages(missions, cfg)
 
+    def test_no_missions_rejected(self, cfg):
+        for search in (optimize_order, order_averages, per_order_table):
+            with pytest.raises(ValueError, match="need at least one mission"):
+                search([], cfg)
+
     def test_efficiency_gain_zero_without_conflicts(self, parallel_pair, cfg):
         search = optimize_order(parallel_pair, cfg)
         assert search.efficiency_gain == 0.0
@@ -326,6 +331,47 @@ def test_order_table_matches_reference_sweep():
         for schedule in (search.best, search.worst):
             assert (schedule.order, schedule.departures, schedule.bindings,
                     schedule.total_delay) == reference_row(schedule.order, pairs)[:4]
+
+
+def tolerance_bindings(schedule, index, hi):
+    """A schedule's bindings by the 1e-9 s rule that exact equality replaced:
+    position j is bound to each earlier i with |dep_j - (hi + dep_i)| <= 1e-9,
+    hi indexed by index[mission id]."""
+    o = [index[mid] for mid in schedule.order]
+    d = schedule.departures
+    return tuple(tuple(schedule.order[i] for i in range(j)
+                       if abs(d[j] - (hi[o[i], o[j]] + d[i])) <= 1e-9)
+                 for j in range(len(o)))
+
+
+def test_exact_bindings_equal_the_tolerance_rule():
+    """On every order of seeded box topologies and on the Atlanta searches,
+    no shifted span end lies within 1e-9 s of a departure without equalling
+    it, and every delayed departure is bound to some earlier flight."""
+    cases = []
+    for h in (1.5, 3.0):
+        cfg = SeparationConfig(h=h)
+        for n in range(3, 7):
+            for seed in range(5):
+                missions = generate_topology(
+                    AirspaceConfig(n_agents=n, seed=31 * n + seed, h=h))
+                cases.append((missions, cfg, per_order_table(missions, cfg)))
+    for h in (50.0, 300.0, 1000.0):
+        missions, cfg = atlanta.load_missions(), SeparationConfig(h=h)
+        search = optimize_order(missions, cfg)
+        cases.append((missions, cfg, [search.best, search.worst]))
+    delayed = 0
+    for missions, cfg, rows in cases:
+        missions = sorted(missions, key=lambda m: m.id)
+        index = {m.id: k for k, m in enumerate(missions)}
+        _, hi = pair_arrays(missions, cfg)
+        for schedule in rows:
+            assert schedule.bindings == tolerance_bindings(schedule, index, hi)
+            for departure, bound in zip(schedule.departures, schedule.bindings):
+                if departure > 0.0:
+                    delayed += 1
+                    assert bound, (schedule.order, departure)
+    assert delayed > 1000
 
 
 def test_search_output_is_pinned():

@@ -24,6 +24,16 @@ class TestAirspaceConfig:
         with pytest.raises(ValueError):
             AirspaceConfig(n_agents=30, seed=0)
 
+    @pytest.mark.parametrize("n_agents,h,message", [
+        (0, 1.5, "n_agents must be >= 1, got 0"),
+        (4, 0.0, "h must be positive, got 0.0"),
+        (4, -1.0, "h must be positive, got -1.0"),
+        (4, float("nan"), "h must be positive, got nan"),
+    ])
+    def test_rejects_no_agents_and_nonpositive_h(self, n_agents, h, message):
+        with pytest.raises(ValueError, match=message):
+            AirspaceConfig(n_agents=n_agents, seed=0, h=h)
+
 
 # (id, origin.x, origin.y, destination.x, destination.y, speed) per mission
 PINNED_DRAWS = [

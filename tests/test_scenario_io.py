@@ -61,6 +61,9 @@ def test_geodetic_projection_and_speed_conversion():
     (lambda d: d["missions"][0].update(origin=[1.0]), "bad point"),
     (lambda d: d["missions"][0].update(speed=float("nan")), "nonfinite"),
     (lambda d: d["missions"][1].update(id="a"), "duplicate id"),
+    (lambda d: d["missions"].__setitem__(0, ["a"]), "mission not an object"),
+    (lambda d: d["missions"][0].update(speed=True), "boolean speed"),
+    (lambda d: d["missions"][0].update(speed="fast"), "string speed"),
 ])
 def test_schema_violations_rejected(mutate, field):
     data = json.loads(json.dumps(METRIC))
@@ -130,6 +133,18 @@ def test_geodetic_scenario_across_the_antimeridian():
     assert across[0].origin.x < across[0].destination.x
     assert (across[0].destination - across[0].origin).norm() == pytest.approx(
         haversine_m(GeoPoint(0.05, 179.9), GeoPoint(-0.05, -179.95)), rel=0.005)
+
+
+@pytest.mark.parametrize("data", [[METRIC], [], "scenario", None])
+def test_scenario_must_be_an_object(data):
+    with pytest.raises(ScenarioFormatError, match="scenario must be a JSON object"):
+        parse_scenario(data)
+
+
+def test_unreadable_file(tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(ScenarioFormatError, match="cannot read"):
+            read_scenario(path)
 
 
 def test_invalid_json_file(tmp_path):

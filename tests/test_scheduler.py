@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from deconflict import oracle, scheduler
 from deconflict.kinematics import ForbiddenInterval, Mission, SeparationConfig, Vec2
-from deconflict.scheduler import BINDING_TOL, greedy_schedule
+from deconflict.scheduler import greedy_schedule
 from helpers import random_instance
 
 ROOT2 = math.sqrt(2.0)
@@ -67,7 +67,7 @@ class TestEarliestFreeTime:
         # the least free instant is 0 or a span's upper end
         assert t == min(c for c in [0.0] + [hi for _, hi in spans] if free(c))
         assert bound == tuple(f"e{i}" for i, (_, hi) in enumerate(spans)
-                              if abs(t - hi) <= BINDING_TOL)
+                              if t == hi)
 
 
 class TestGreedySchedule:
