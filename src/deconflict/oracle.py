@@ -46,25 +46,18 @@ def _polish(u, c, lo, hi) -> np.ndarray:
     row's squared gap |u t + c|^2; u and c are (2, rows) arrays of x and y.
 
     A row steps until hi - lo <= 1e-12 (a nan width never stops), at most
-    200 times. Where one ulp is wider than 1e-12 (past 8192 s) a bracket
-    can stall a few ulps wide, both probes rounding to its ends; such a row
-    can never move again, so it stops in the next step as a closed one
-    does. Only a call with a bracket end that wide looks for stalls. A step
-    probes x and y at both thirds of every bracket as one (2, 2 * rows)
-    array, and a row leaves the working arrays in the step it stops.
+    200 times. A step probes x and y at both thirds of every bracket as one
+    (2, 2 * rows) array, and a row leaves the working arrays in the step it
+    stops.
     """
     lo_out, hi_out = lo.copy(), hi.copy()  # each row's final bracket
     rows = np.arange(lo.size)
-    wide = bool((np.spacing(np.fmax(np.abs(lo), np.abs(hi))) > 1e-12).any())
-    stalled = np.zeros(rows.size, dtype=bool)
     u = np.concatenate([u, u], axis=1)
     c = np.concatenate([c, c], axis=1)
     w = np.empty(rows.size)
     r = -1
     for _ in range(200):
         np.subtract(hi, lo, out=w)
-        if wide:
-            w[stalled] = 0.0
         if np.fmin.reduce(w, initial=np.inf) <= 1e-12:  # fmin skips nan widths
             stop = w <= 1e-12
             lo_out[rows[stop]] = lo[stop]
@@ -87,8 +80,6 @@ def _polish(u, c, lo, hi) -> np.ndarray:
         np.divide(w, 3.0, out=w)  # now a third of the width
         np.add(lo, w, out=m1)
         np.subtract(hi, w, out=m2)
-        if wide:
-            stalled = (m1 == lo) & (m2 == hi)
         np.multiply(u, m, out=p)
         np.add(p, c, out=p)
         np.multiply(p, p, out=p)

@@ -155,8 +155,9 @@ def _fit_gamma(x: np.ndarray) -> dict:
 
 
 def _fit_beta(x: np.ndarray) -> dict:
-    # fit_report has rejected equal samples, so v > 0, and the padding
-    # keeps every u in [0, 1), so v < m (1 - m) and both shapes are > 0
+    # fit_report has rejected equal samples, so v > 0; every u lies in
+    # [0, 1] and u = 0 and u = 1 never occur together, so v < m (1 - m)
+    # and both shapes are > 0
     lo = float(np.min(x))
     hi = float(np.max(x))
     pad = BETA_SUPPORT_PAD * (hi - lo)
