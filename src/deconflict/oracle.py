@@ -2,13 +2,14 @@
 
 This is the independent check against which the analytic solvers are tested.
 It only ever evaluates inter-agent distance at sampled instants (optionally
-polishing the sampled minimum by local search), so it shares no code path
-with the vertex/root analysis in kinematics: it takes only the Mission type
-from there. One sampler works on rows, one co-airborne window per row: rows
-are sampled in (rows x samples) blocks of at most CHUNK elements and
-polished together by ternary search, each row leaving the search in the step
-its bracket closes. A single window, a delay grid and the pairs of a
-schedule are each one call of it; tests pin its outputs bit for bit.
+polishing the sampled minimum with one more sample, placed from sampled
+values alone), so it shares no code path with the vertex/root analysis in
+kinematics: it takes only the Mission type from there. One sampler works on
+rows, one co-airborne window per row: rows are sampled in (rows x samples)
+blocks of at most CHUNK elements, and with refine=True every row then takes
+one parabolic step, with no loop. A single window, a delay grid and the
+pairs of a schedule are each one call of it; tests pin its outputs bit for
+bit.
 """
 
 import math
@@ -41,66 +42,16 @@ def _flights(missions) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, 5).T
 
 
-def _polish(u, c, lo, hi) -> np.ndarray:
-    """Midpoints of the brackets [lo, hi] after a ternary search on each
-    row's squared gap |u t + c|^2; u and c are (2, rows) arrays of x and y.
-
-    A row steps until hi - lo <= 1e-12 (a nan width never stops), at most
-    200 times. A step probes x and y at both thirds of every bracket as one
-    (2, 2 * rows) array, and a row leaves the working arrays in the step it
-    stops.
-    """
-    lo_out, hi_out = lo.copy(), hi.copy()  # each row's final bracket
-    rows = np.arange(lo.size)
-    u = np.concatenate([u, u], axis=1)
-    c = np.concatenate([c, c], axis=1)
-    w = np.empty(rows.size)
-    r = -1
-    for _ in range(200):
-        np.subtract(hi, lo, out=w)
-        if np.fmin.reduce(w, initial=np.inf) <= 1e-12:  # fmin skips nan widths
-            stop = w <= 1e-12
-            lo_out[rows[stop]] = lo[stop]
-            hi_out[rows[stop]] = hi[stop]
-            live = ~stop
-            rows, lo, hi, w = rows[live], lo[live], hi[live], w[live]
-            both = np.concatenate([live, live])
-            u, c = u[:, both], c[:, both]
-        if rows.size != r:
-            r = rows.size
-            if not r:
-                break
-            m = np.empty(2 * r)  # the probes lo + third, then hi - third
-            m1, m2 = m[:r], m[r:]
-            p = np.empty((2, 2 * r))
-            px, py = p
-            d = np.empty(2 * r)
-            d1, d2 = d[:r], d[r:]
-            left = np.empty(r, dtype=bool)
-        np.divide(w, 3.0, out=w)  # now a third of the width
-        np.add(lo, w, out=m1)
-        np.subtract(hi, w, out=m2)
-        np.multiply(u, m, out=p)
-        np.add(p, c, out=p)
-        np.multiply(p, p, out=p)
-        np.add(px, py, out=d)
-        np.less(d1, d2, out=left)
-        # np.where, not np.putmask: a masked copy branches on every element,
-        # and which side of a bracket survives follows no pattern
-        hi = np.where(left, m2, hi)
-        lo = np.where(left, lo, m1)
-    lo_out[rows] = lo
-    hi_out[rows] = hi
-    return 0.5 * (lo_out + hi_out)
-
-
 def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
     """Sampled min squared gap of flights a, b (as from _flights) departing
     ta, tb: one row per element of the broadcast arrays, inf where the
     co-airborne window is empty.
 
-    A row's window is sampled at step dt plus its far end; with refine=True
-    the sampled argmin is polished by a local ternary search.
+    A row's window is sampled at step dt plus its far end. With refine=True
+    the gap is also sampled at both ends and the middle of [tbest - dt,
+    tbest + dt] clipped to the window, tbest the sampled argmin, and once
+    more at the vertex of the parabola through those three values, clipped
+    to the bracket; the least sample is kept.
     """
     dt = _step(dt)
     ta = np.asarray(ta, dtype=np.float64)
@@ -155,14 +106,26 @@ def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
         tbest[blk] = t[i, k]
         s = blk.stop
     if refine:
+        def gap(t):
+            rx = ux * t + cx
+            ry = uy * t + cy
+            return rx * rx + ry * ry
+
+        # the squared gap is a quadratic in t: its samples at lo, mid and
+        # hi fix it, and the parabola's vertex, clipped to [lo, hi], is
+        # sampled once more (a flat or concave row samples mid)
         lo = tbest - dt
         lo = np.where(lo > w0, lo, w0)
         hi = tbest + dt
         hi = np.where(hi < w1, hi, w1)
-        t = _polish(np.stack([ux, uy]), np.stack([cx, cy]), lo, hi)
-        rx = ux * t + cx
-        ry = uy * t + cy
-        r = rx * rx + ry * ry
+        mid = 0.5 * (lo + hi)
+        f0, f1, f2 = gap(lo), gap(mid), gap(hi)
+        curv = f0 - 2.0 * f1 + f2
+        t = mid + np.divide((hi - lo) * (f0 - f2), 4.0 * curv,
+                            out=np.zeros(rows.size), where=curv > 0.0)
+        t = np.where(t > lo, t, lo)
+        t = np.where(t < hi, t, hi)
+        r = gap(t)
         best = np.where(r < best, r, best)
     out[rows] = best
     return out
@@ -174,11 +137,20 @@ def pairs_min_sep_sq(firsts, t_firsts, seconds, t_seconds,
 
     Row i is firsts[i] departing t_firsts[i] against seconds[i] departing
     t_seconds[i]; the four sequences must have one length. Plain sampling
-    overestimates the true minimum by at most the grid gap; refine=True
-    polishes the argmin neighborhood by ternary search, which makes the
-    estimate essentially exact for these quadratic-in-time gaps. A row whose
-    airborne windows do not overlap gives inf. Every entry point raises
-    ValueError unless dt is finite and > 0 and every time is finite.
+    overestimates the true minimum by at most the grid gap. The squared gap
+    |u t + c|^2 (u the relative velocity, c the relative position at t = 0)
+    is quadratic in t, so refine=True samples it at three instants around
+    the sampled argmin and once more at the vertex of the parabola through
+    them; tests check the result within 1e-11 (|u| T + |c|)^2 of the exact
+    minimum, T the latest instant of the window. A row whose airborne
+    windows do not overlap gives inf. Every entry point raises ValueError
+    unless dt is finite and > 0, every time is finite and every window has
+    fewer than 2^63 steps of dt.
+
+    Memory grows as window / dt: a window of more than CHUNK samples is a
+    block of its own, and all its samples are allocated at once. Two 1e17 m
+    routes at dt 1.0 end in MemoryError, not ValueError; there is no cap
+    (ROADMAP item 7, bounded inputs).
     """
     if not len(firsts) == len(t_firsts) == len(seconds) == len(t_seconds):
         raise ValueError("missions and departure times differ in length")

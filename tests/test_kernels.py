@@ -1,12 +1,14 @@
 """Checks of the hot paths through the public entry points: the oracle's
-outputs pinned bit for bit, its checks of the sampling step, the departure
-times, the input lengths and the sample count, clamped-window edge cases,
-and the pair solver's tangency, corner and sliver cases and certified
-endpoints, and the oracle's independence from the solver's code."""
+outputs pinned bit for bit, its refined minimum against an exact reference,
+its checks of the sampling step, the departure times, the input lengths and
+the sample count, clamped-window edge cases, and the pair solver's
+tangency, corner and sliver cases and certified endpoints, and the oracle's
+independence from the solver's code."""
 
 import ast
 import hashlib
 import math
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -21,22 +23,23 @@ from helpers import pair_stream, random_instance, sliver_pair
 
 CFG = SeparationConfig(h=1.5)
 
-# sha256 of the oracle's float64 output bytes on the fixed inputs below, as
-# the per-window and per-delay-grid samplers gave them before the one row
-# sampler replaced both; a single changed bit fails these tests
-PAIR_GRID_PIN = "263d78b87eeb4ca719aede5ffc1bacf8a71a2ffc8d1168d064abe8fa4a5f550e"
+# sha256 of the oracle's float64 output bytes on the fixed inputs below; a
+# single changed bit fails these tests. The refine=False pins date from the
+# per-window and per-delay-grid samplers the one row sampler replaced; the
+# refine=True pins were taken when one parabolic step replaced the ternary
+# search, which moved each output by under 1.4e-11 of its value
+PAIR_GRID_PIN = "eba8707dcc1f94194d8a64c9d304e1f3cfc76d092e6684cd9ac130d76081d5c3"
 EDGE_GRID_PINS = {
-    True: "a275bcf05e924fed3557f290319739e4583c357d10ead7734f0c2349f4b2c7e6",
+    True: "a3d2b53d19cdebb1032fe1f02f886214e6e5957330b8e8eda8214e1abf13e77a",
     False: "7bb25b8257228795782499c7345fa3db39bebd2ec1bed20a8f9e87d7accac3e8",
 }
-# sha256 of pairs_min_sep_sq(..., refine=True) on _polish_rows, taken before
-# the polish dropped stopped rows from its working arrays
-POLISH_PIN = "049196a96db9fcc10eb6f8016787035ceb56c6ee4e6c0a4d996f9ada88f0beee"
+# sha256 of pairs_min_sep_sq(..., refine=True) on _polish_rows
+POLISH_PIN = "4f07c1fb815306b1fa42b2c3465e781de517ac8ce662bd942f8571a6f1265bbe"
 SCHEDULE_PINS = {
     (0.01, False): "e66ab366d8b99e1ce777b453b26e22d48410670b258919099d4c4b753de6e0e5",
-    (0.01, True): "7c8d4ed5c4dbdf7d0b0b1ee62af9c2b6736ac010e5961c32921d6a09e841e315",
+    (0.01, True): "4098f6098e5a61c018c59d1bb5959a3264086126fa94a47a0b9b1db50c3647c4",
     (0.001, False): "fac06e4d2e4c7b92f3e5abe0dc7776564c8573603cfde1edff7d2c0acf376b07",
-    (0.001, True): "a074e5b16efa2a673b98651092a05cc26a382c18158ec94e6afc8aea2bbc8e86",
+    (0.001, True): "609625d2f96addf83403950e9b43f85e54c265bf76596c4ace31ce14184c8a7f",
 }
 
 
@@ -89,12 +92,12 @@ def test_edge_grids_are_pinned(refine):
 
 
 def _polish_rows():
-    """Rows whose ternary polish stops at different steps in one call.
+    """Rows that refine at very different time scales in one call.
 
-    Pairs departing at 2e4 s and later, km-scale and unit-scale, never
-    narrow their bracket to 1e-12 s (one ulp of the departure is wider) and
-    run all 200 steps; earlier ones stop after 61-71; windows of zero length
-    or narrower than 1e-12 s start stopped; disjoint windows give inf.
+    Pairs depart at 0 s up to 1e6 s, km-scale and unit-scale, where one ulp
+    of the departure is up to 1.2e-10 s; windows of zero length or of
+    4e-13 s make a bracket of one instant or of a few ulps; disjoint windows
+    give inf.
     """
     rng = np.random.default_rng(2207)
     rows = []
@@ -120,6 +123,71 @@ def test_polish_output_is_pinned():
             for dt in (0.05, 1.0)]
     assert np.isinf(seps[0]).sum() == 48
     assert _pin(seps) == POLISH_PIN
+
+
+def _exact_min_sq(a, ta, b, tb):
+    """The true minimum of |u t + c|^2 over the co-airborne window, and the
+    scale (|u| T + |c|)^2 of its rounding error, T the window's latest
+    instant; None for an empty window.
+
+    u and c are exact over the stored floats (Fraction), and so is the
+    clamped vertex -(u.c)/|u|^2. The window's ends are the float sums the
+    oracle is asked about, max(ta, tb) and min(ta + dur_a, tb + dur_b).
+    """
+    w0, w1 = max(ta, tb), min(ta + a.duration, tb + b.duration)
+    if w0 > w1:
+        return None
+    va, vb = a.velocity, b.velocity
+    ux, uy = Fraction(va.x) - Fraction(vb.x), Fraction(va.y) - Fraction(vb.y)
+    cx = (Fraction(a.origin.x) - Fraction(va.x) * Fraction(ta)
+          - Fraction(b.origin.x) + Fraction(vb.x) * Fraction(tb))
+    cy = (Fraction(a.origin.y) - Fraction(va.y) * Fraction(ta)
+          - Fraction(b.origin.y) + Fraction(vb.y) * Fraction(tb))
+    uu = ux * ux + uy * uy
+    t = Fraction(w0)
+    if uu:
+        t = min(max(-(ux * cx + uy * cy) / uu, t), Fraction(w1))
+    gx, gy = ux * t + cx, uy * t + cy
+    scale = math.sqrt(uu) * max(abs(w0), abs(w1)) + math.hypot(cx, cy)
+    return gx * gx + gy * gy, scale * scale
+
+
+def _exact_rows():
+    """(dt, firsts, t_firsts, seconds, t_seconds) batches: _polish_rows, AC2
+    pairs (equal-velocity and same-track among them) on a coarse delay grid,
+    and a sliver pair's few-millisecond conflict."""
+    for dt in (0.05, 1.0):
+        yield dt, *_polish_rows()
+    rows = []
+    for a, b in pair_stream(20260810, 40):
+        rows += [(a, 0.0, b, d) for d in np.arange(-b.duration - 0.5,
+                                                   a.duration + 0.5, 0.5)]
+    yield 0.05, *zip(*rows)
+    a, b = sliver_pair(2.5, 2e-6)
+    yield 0.05, *zip(*[(a, 0.0, b, d) for d in
+                       b.destination.x - b.duration + np.linspace(-0.02, 0.02, 41)])
+
+
+def test_refined_oracle_is_exact_up_to_rounding():
+    # the refined minimum is within 1e-11 (|u| T + |c|)^2 of the exact one;
+    # plain sampling is not, so skipping the refinement fails this test
+    rows = plain_misses = 0
+    for dt, firsts, t_firsts, seconds, t_seconds in _exact_rows():
+        exact = [_exact_min_sq(*row) for row in zip(firsts, t_firsts, seconds, t_seconds)]
+        for refine in (True, False):
+            seps = oracle.pairs_min_sep_sq(firsts, t_firsts, seconds, t_seconds,
+                                           dt, refine)
+            for sep, ex in zip(seps.tolist(), exact):
+                if ex is None:
+                    assert sep == math.inf
+                    continue
+                within = abs(Fraction(sep) - ex[0]) <= 1e-11 * ex[1]
+                if refine:
+                    assert within, (sep, float(ex[0]))
+                    rows += 1
+                else:
+                    plain_misses += not within
+    assert rows > 1500 and plain_misses > 100
 
 
 def _schedules():
