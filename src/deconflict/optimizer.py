@@ -15,9 +15,6 @@ from .scheduler import greedy_schedule  # noqa: F401
 #: exhaustive enumeration cap: 9! = 362,880 orders
 DEFAULT_ORDER_CAP = 9
 
-#: totals within TIE_TOL * (1 + |m|) of the extreme total m count as tied
-TIE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -25,12 +22,12 @@ class SearchResult:
 
     ids are the mission ids in sorted order. Row r of orders (n!, n) indexes
     them with one flight order, rows in lexicographic order, and totals[r]
-    is that order's total delay. orders is read-only: every search of n
-    missions returns the same array. A total is tied with the least total m
-    when it is at most m + TIE_TOL * (1 + |m|): optimal_orders lists exactly
-    those orders, in row order, and best is the first of them. worst is the
-    first order whose total is at least M - TIE_TOL * (1 + |M|), M the
-    greatest total.
+    is that order's total delay, its departures added in ascending order
+    (total_of). orders is read-only: every search of n missions returns the
+    same array. Orders that give the same departures have equal totals bit
+    for bit, so ties are exact: optimal_orders lists every order whose total
+    equals the least total, in row order, and best is the first of them.
+    worst is the first order whose total equals the greatest total.
     """
     best: Schedule
     worst: Schedule
@@ -83,17 +80,15 @@ def per_order_table(missions, cfg: SeparationConfig) -> list[Schedule]:
 def optimize_order(missions, cfg: SeparationConfig) -> SearchResult:
     """Pick the flight order with minimal total delay by full enumeration.
 
-    The orders whose totals lie within TIE_TOL * (1 + |m|) of the least
-    total m all tie; best is the lexicographically first of them, and worst
-    is the first order within the same band of the greatest total.
+    The orders whose totals equal the least total all tie; best is the
+    lexicographically first of them, and worst is the first order whose
+    total equals the greatest total.
     """
     ids, hi, totals, leaves, leaf = _sorted_tree(missions, cfg)
     orders = lexicographic_orders(len(ids))
-    low, high = totals.min(), totals.max()
-    tied = np.flatnonzero(totals <= low + TIE_TOL * (1.0 + abs(low)))
-    best = tied[0]
-    worst = np.flatnonzero(totals >= high - TIE_TOL * (1.0 + abs(high)))[0]
-    picked = [best, worst]
+    tied = np.flatnonzero(totals == totals.min())
+    # argmax picks the first of equal maxima
+    picked = [tied[0], np.argmax(totals)]
     best_schedule, worst_schedule = schedules(
         ids, hi, orders[picked], leaf_departures(leaves, leaf, picked))
     return SearchResult(best=best_schedule, worst=worst_schedule, ids=ids,

@@ -60,9 +60,8 @@ def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
         raise ValueError("departure times and delays must be finite")
     aox, aoy, avx, avy, adur = a
     box, boy, bvx, bvy, bdur = b
-    # max(ta, tb) and min(ta + adur, tb + bdur), keeping Python's ties and ±0
-    w0 = np.where(tb > ta, tb, ta)
-    w1 = np.where(tb + bdur < ta + adur, tb + bdur, ta + adur)
+    w0 = np.maximum(ta, tb)
+    w1 = np.minimum(ta + adur, tb + bdur)
     ux = avx - bvx
     uy = avy - bvy
     cx = aox - avx * ta - box + bvx * tb

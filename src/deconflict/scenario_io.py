@@ -37,7 +37,10 @@ _MISSION_KEYS = {"id", "origin", "destination", "speed"}
 def _number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"expected a number, got {value!r}", field)
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int of more than 308 digits
+        raise ScenarioFormatError("integer too large for a float", field) from None
     if not math.isfinite(v):
         raise ScenarioFormatError(f"must be finite, got {v}", field)
     return v

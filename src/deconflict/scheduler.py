@@ -12,7 +12,7 @@ One array step places one more agent into many states at once. A state
 holds the departure of each agent placed so far and NaN for the others.
 `greedy_schedule` runs the step on a single state per agent; `order_tree`
 runs it once per level of the permutation tree, on the distinct states of
-that level only, to place all N! orders and fold their totals.
+that level only, to place all N! orders, and totals each leaf state once.
 `leaf_departures` reads the departures of chosen rows off their leaf
 states, `order_ids` labels rows with mission ids, and `schedules` turns
 rows into `Schedule` objects and finds their bindings.
@@ -29,13 +29,15 @@ from .kinematics import IntervalKind, SeparationConfig, forbidden_interval
 
 
 def total_of(departures):
-    """d0 + d1 + ..., added left to right.
+    """The departures added left to right in ascending order.
 
-    order_tree folds its totals in the same order, level by level, so a
-    Schedule's total equals its row's total bit for bit. sum() is not used
-    because it compensates from Python 3.12 on.
+    The total depends only on the departures, not on the order that places
+    them, so orders that give every flight the same departure tie bit for
+    bit. order_tree folds each leaf state's sorted row with the same
+    additions, so a Schedule's total equals its row's total. sum() is not
+    used because it compensates from Python 3.12 on.
     """
-    return functools.reduce(operator.add, departures, 0.0)
+    return functools.reduce(operator.add, sorted(departures), 0.0)
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,8 @@ class Schedule:
     departures[i] is the departure (seconds, >= 0) of mission order[i].
     bindings[i] lists the earlier mission ids whose shifted forbidden span
     ends exactly at the i-th departure (its active constraints). A delayed
-    departure is always the end of at least one such span.
+    departure is always the end of at least one such span. total_delay is
+    total_of(departures), the ascending sum.
     """
     order: tuple[str, ...]
     departures: tuple[float, ...]
@@ -145,17 +148,17 @@ def order_tree(lo, hi):
     equal bit for bit are merged into one state at the levels that place
     the (k+1)-th agent for 2 <= k <= n - 3; the first two levels and the
     last two have too few repeats to pay for the merge. Each prefix of the
-    lexicographic orders keeps the index of its state and its running total,
-    to which every level adds the departure it places: the same left-to-right
-    sum as total_of over the row's departures. Returns the (n!,) totals, the
-    (S, n) leaf states and the (n!,) leaf index of each order, rows in the
-    order of lexicographic_orders(n).
+    lexicographic orders keeps the index of its state. After the last level
+    each leaf state's sorted row is folded column by column, the same
+    additions as total_of over its departures, and every order reads the
+    total of its leaf. Returns the (n!,) totals, the (S, n) leaf states and
+    the (n!,) leaf index of each order, rows in the order of
+    lexicographic_orders(n).
     """
     n = len(lo)
     # the first agent of every order departs at t = 0
     states = np.where(np.eye(n, dtype=bool), 0.0, np.nan)
     prefix_state = np.arange(n)
-    totals = np.zeros(n)
     for k in range(1, n):
         parent, nxt = np.nonzero(np.isnan(states))
         children = states[parent]
@@ -164,14 +167,14 @@ def order_tree(lo, hi):
         # every state has n - k free agents, so child c of state s, in
         # ascending agent order as the orders list them, is s * (n - k) + c
         prefix_state = (prefix_state[:, None] * (n - k) + np.arange(n - k)).ravel()
-        totals = np.repeat(totals, n - k) + placed[prefix_state]
         if 2 <= k <= n - 3:
             keys = children.view(np.dtype((np.void, children.itemsize * n)))
             keys, merged = np.unique(keys.ravel(), return_inverse=True)
             children = keys.view(np.float64).reshape(-1, n)
             prefix_state = merged[prefix_state]
         states = children
-    return totals, states, prefix_state
+    leaf_totals = functools.reduce(operator.add, np.sort(states, axis=1).T, 0.0)
+    return leaf_totals[prefix_state], states, prefix_state
 
 
 def leaf_departures(leaves, leaf, rows):

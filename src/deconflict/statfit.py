@@ -11,7 +11,8 @@ samples affinely mapped into (0, 1) over the 1%-padded sample range (delays
 are unbounded above, so a beta fit needs an explicit support choice).
 
 Special functions need only `math`: ln Γ is `math.lgamma`, ln B(a, b) is
-ln Γ(a) + ln Γ(b) − ln Γ(a + b), and ψ, ψ′ are recurrences plus asymptotic series.
+ln Γ(a) + ln Γ(b) − ln Γ(a + b), and ln x − ψ(x) and its derivative are
+recurrences plus asymptotic series, formed with no cancellation.
 """
 
 import math
@@ -92,22 +93,24 @@ def _betaln(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _digamma(x: float) -> float:
-    """ψ(x) for x > 0: ψ(x) = ψ(x + 1) − 1/x up to x ≥ 10, then the series."""
+def _g(x: float) -> float:
+    """g(x) = ln x − ψ(x) for x > 0: g(x) = g(x + 1) + 1/x − log1p(1/x) up
+    to x ≥ 10, then the asymptotic series of ψ without its ln x term."""
     if x < 10.0:
-        return _digamma(x + 1.0) - 1.0 / x
+        return _g(x + 1.0) + 1.0 / x - math.log1p(1.0 / x)
     f = 1.0 / (x * x)
-    return math.log(x) - 0.5 / x - f * (
-        1 / 12 - f * (1 / 120 - f * (1 / 252 - f * (1 / 240 - f / 132))))
+    return 0.5 / x + f * (1 / 12 - f * (
+        1 / 120 - f * (1 / 252 - f * (1 / 240 - f * (1 / 132 - f * 691 / 32760)))))
 
 
-def _trigamma(x: float) -> float:
-    """ψ′(x) for x > 0: ψ′(x) = ψ′(x + 1) + 1/x² up to x ≥ 10, then the series."""
+def _g_prime(x: float) -> float:
+    """g′(x) = 1/x − ψ′(x) for x > 0: g′(x) = g′(x + 1) − 1/(x²(x + 1)) up
+    to x ≥ 10, then the asymptotic series of ψ′ without its 1/x term."""
     if x < 10.0:
-        return _trigamma(x + 1.0) + 1.0 / (x * x)
+        return _g_prime(x + 1.0) - 1.0 / (x * x * (x + 1.0))
     f = 1.0 / (x * x)
-    return 1.0 / x + 0.5 * f + (f / x) * (
-        1 / 6 - f * (1 / 30 - f * (1 / 42 - f * (1 / 30 - 5 * f / 66))))
+    return -0.5 * f - (f / x) * (1 / 6 - f * (
+        1 / 30 - f * (1 / 42 - f * (1 / 30 - f * (5 / 66 - f * 691 / 2730)))))
 
 
 def _fit_normal(x: np.ndarray) -> dict:
@@ -127,18 +130,26 @@ def _fit_log_normal(x: np.ndarray) -> dict:
 
 
 def _fit_gamma(x: np.ndarray) -> dict:
+    # fit_report fits NORMAL first, which has raised on the same zero
+    # np.var(x), so var > 0
     mean = float(np.mean(x))
     var = float(np.var(x))
-    if var == 0.0:
-        raise DegenerateSamples("zero variance")
-    # s > 0 by Jensen unless all samples are equal
-    s = math.log(mean) - float(np.mean(np.log(x)))
+    # s = ln(mu) − mean(ln x), mu the exact mean, without subtracting nearly
+    # equal logs: with d = x/mean − 1, mu = mean (1 + mean(d)), so
+    # s = log1p(mean(d)) − mean(log1p(d)), and the first term takes out the
+    # rounding of mean. s > 0 by Jensen unless the samples are equal, but
+    # rounding can take it to 0 or below for samples a few ulps apart
+    d = (x - mean) / mean
+    s = math.log1p(float(np.mean(d))) - float(np.mean(np.log1p(d)))
+    if not s > 0.0:
+        raise DegenerateSamples(f"samples too close for a gamma fit: "
+                                f"ln(mean) - mean(ln x) = {s!r}")
     shape = mean * mean / var  # method-of-moments start
     # Newton on the profile likelihood equation  ln(k) - psi(k) = s
     converged = False
     for _ in range(GAMMA_NEWTON_MAX_ITER):
-        f = math.log(shape) - _digamma(shape) - s
-        fp = 1.0 / shape - _trigamma(shape)
+        f = _g(shape) - s
+        fp = _g_prime(shape)
         step = f / fp
         new_shape = shape - step
         if new_shape <= 0.0:

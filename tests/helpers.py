@@ -144,11 +144,11 @@ def reference_pairs(missions, cfg, pair_solver):
 
 def reference_row(order, pairs):
     """(order, departures, bindings, total, average) of one order from the
-    scalar sweep. The total adds the departures left to right in a plain
-    loop."""
+    scalar sweep. The total adds the departures in ascending order in a
+    plain loop."""
     departures, bindings = reference_schedule(order, pairs)
     total = 0.0
-    for d in departures:
+    for d in sorted(departures):
         total += d
     return (order, departures, bindings, total, total / len(order))
 

@@ -1,7 +1,9 @@
 import argparse
 import hashlib
+import importlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +49,7 @@ SAME_TRACK = {
 # changed byte fails it
 ARTIFACT_PINS = {
     "optimize/orders.csv":
-        "ccb81dbbe85105e61e51fff6fd778739817743f9bcc07cd36bced696b3a8a25b",
+        "e9f1283bc0229dcf974fbfe272d660f25424d26a4893516378dc30c82b2f896b",
     "optimize/optimize.json":
         "da26595e77511411a02eb0147fc833ea8e390caca2584a271e319364de40e659",
     "schedule/schedule.json":
@@ -60,15 +62,15 @@ ARTIFACT_PINS = {
 # test_statistics_artifacts_are_pinned; one changed byte fails it
 STATISTICS_PINS = {
     "pooled/samples.csv":
-        "3bc1484ce4e8fd95b024c9d2633b0b66a6ecd941b406ca6914cd8017b7d4ed93",
+        "8592b91ce8a6ca0d819712dd8bb14353ad4a67c35f708fc776af23d113d7d2c4",
     "pooled/fit.json":
-        "9ea51a0854e2d0ad07f5fff3eb36b910fffa1fe45c5f9934dd42dcb3700f643b",
+        "19eda30e3920ca57539b6d3b54bdfd76a600051bcd84bd53a7a329c87dcdcf31",
     "optimal/samples.csv":
-        "98568ef55bfe65978c4279486037d06f8e2e185ef6eebd1bb4c176f9fcb2ccd7",
+        "1bf5499d4de78eeb8894834d2e0cd371aae83189b4e81cfccf71b983dbbd1fcf",
     "optimal/fit.json":
-        "42cb966fe51362f89dd8fe5c638e401ed04b9be08dbbd1d862654fc28a305347",
+        "d10dd1a27cb0b0e22996967b852754eb26e4d4ff913dcf54cf54964b1685e6a6",
     "fit/fit.json":
-        "497ec07ff3a5a2ad3f654a2ba19c131823c236ff5f72ba93c3003a6cbec5cc3c",
+        "288d536a82ac21d8fd98cf9125c5c8a4cade6bbc7751fd9462e4106805bc1f46",
 }
 
 # sha256 of the exit codes and stdout of every solve-pair run in
@@ -291,6 +293,16 @@ def test_fit_rejects_unfittable_samples(rows, message, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_fit_of_samples_two_ulps_apart_exits_0(tmp_path, capsys):
+    # the gamma shape is about 3e31, where ln k - psi(k) formed as a
+    # difference of logs is rounding noise
+    csv = tmp_path / "samples.csv"
+    csv.write_text("average_delay_s\n1.0\n1.0000000000000002\n1.0000000000000004\n")
+    out_dir = tmp_path / "fit"
+    assert cli.main(["fit", str(csv), "--bins", "2", "--out", str(out_dir)]) == 0
+    assert json.loads((out_dir / "fit.json").read_text())["n_samples"] == 3
+
+
 @pytest.mark.parametrize("text,message", [
     (None, "cannot read"),
     ("", "samples CSV is empty"),
@@ -347,6 +359,11 @@ def test_non_integer_version_exits_2(version, scenario_path, capsys):
      "missions[0].speed: expected a number, got True"),
     ({**CROSSING, "missions": [{**CROSSING["missions"][0], "speed": "fast"}]},
      "missions[0].speed: expected a number, got 'fast'"),
+    ({**CROSSING, "separation_h": 10**400},
+     "separation_h: integer too large for a float"),
+    ({**CROSSING, "missions": [{**CROSSING["missions"][0], "origin": [0, 10**400]},
+                               CROSSING["missions"][1]]},
+     "missions[0].origin: integer too large for a float"),
     (None, "cannot read"),
 ])
 def test_malformed_scenario_exits_2(payload, message, scenario_path, tmp_path,
@@ -378,6 +395,15 @@ def _parser_with(handler):
     p.add_argument("--scenario")
     p.set_defaults(func=handler)
     return parser
+
+
+def test_console_script_is_cli_main():
+    # the installed `deconflict` command runs the target named in pyproject
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads(
+        (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    module, _, name = project["project"]["scripts"]["deconflict"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 def test_unexpected_internal_error_maps_to_4(monkeypatch):

@@ -64,6 +64,10 @@ def test_geodetic_projection_and_speed_conversion():
     (lambda d: d["missions"].__setitem__(0, ["a"]), "mission not an object"),
     (lambda d: d["missions"][0].update(speed=True), "boolean speed"),
     (lambda d: d["missions"][0].update(speed="fast"), "string speed"),
+    # a JSON integer beyond the float range overflows float()
+    (lambda d: d["missions"][0].update(speed=10**400), "huge integer speed"),
+    (lambda d: d.update(separation_h=10**400), "huge integer h"),
+    (lambda d: d["missions"][0].update(origin=[10**400, 0]), "huge coordinate"),
 ])
 def test_schema_violations_rejected(mutate, field):
     data = json.loads(json.dumps(METRIC))

@@ -32,6 +32,21 @@ class TestMakeHistogram:
     def test_constant_samples_rejected(self):
         with pytest.raises(DegenerateSamples, match="all 10 samples equal 2.0"):
             fit_report([2.0] * 10, bins=5)
+        # distinct samples whose variance underflows to 0: the normal fit
+        # rejects them
+        with pytest.raises(DegenerateSamples, match="^zero variance$"):
+            fit_report([1e-170, 2e-170, 1.5e-170], bins=2)
+        # 1e100 and its next three floats share one log: the log-normal fit
+        # rejects them
+        x = [1e100]
+        for _ in range(3):
+            x.append(math.nextafter(x[-1], math.inf))
+        with pytest.raises(DegenerateSamples, match="zero variance of log-samples"):
+            fit_report(x, bins=2)
+        # two ulps apart, ln(mean) - mean(ln x) rounds to 0: the gamma fit
+        # rejects them
+        with pytest.raises(DegenerateSamples, match="too close for a gamma fit"):
+            fit_report([1.0, 1.0, 1.0000000000000002, 1.0000000000000004], bins=2)
 
     def test_integral_is_one_for_gamma_draws(self):
         x = np.random.default_rng(0).gamma(9.0, 2.0, 100_000)
@@ -83,6 +98,28 @@ class TestFit:
         grid = np.linspace(p["loc"], p["loc"] + p["scale"], 20_001)
         integral = np.trapezoid(statfit._beta_pdf(p, grid), grid)
         assert integral == pytest.approx(1.0, abs=1e-3)
+
+    def test_gamma_of_a_small_spread_matches_scipy(self):
+        # coefficient of variation 0.28 %: the shape is about 1.2e5, where
+        # ln k - psi(k) formed as a difference would be rounding noise
+        x = 17.0 * (1.0 + 0.01 * np.random.default_rng(0).random(1000))
+        shape = fit_of(fit_report(x), DistributionFamily.GAMMA)["params"]["shape"]
+        moments = np.mean(x) ** 2 / np.var(x)
+        assert abs(shape - moments) <= 0.01 * moments
+        stats = pytest.importorskip("scipy.stats")
+        reference = stats.gamma.fit(x, floc=0)[0]
+        assert abs(shape - reference) <= 1e-9 * reference
+
+    def test_gamma_newton_halves_a_step_below_zero(self):
+        # the moment start 2.5 exceeds twice the shape 0.26767, so the first
+        # Newton step would go below 0 and is halved instead
+        x = np.array([1e-6, 1.0, 1.0, 1.0, 2.0])
+        shape = fit_of(fit_report(x, bins=2), DistributionFamily.GAMMA)["params"]["shape"]
+        assert np.mean(x) ** 2 / np.var(x) > 2.0 * shape
+        assert shape == pytest.approx(0.26767, abs=1e-5)
+        stats = pytest.importorskip("scipy.stats")
+        reference = stats.gamma.fit(x, floc=0)[0]
+        assert abs(shape - reference) <= 1e-9 * reference
 
     def test_gamma_nonconvergence_surfaces(self, monkeypatch):
         monkeypatch.setattr(statfit, "GAMMA_NEWTON_MAX_ITER", 0)
@@ -187,31 +224,40 @@ class TestFitReport:
 
 
 class TestSpecialFunctions:
+    """g(x) = ln x - psi(x) and g'(x) = 1/x - psi'(x), the gamma fit's
+    likelihood equation and its derivative."""
+
     def test_closed_forms(self):
-        assert statfit._digamma(1.0) == pytest.approx(-np.euler_gamma, abs=1e-13)
-        assert statfit._digamma(0.5) == pytest.approx(
-            -np.euler_gamma - 2.0 * math.log(2.0), abs=1e-13)
-        assert statfit._trigamma(1.0) == pytest.approx(math.pi ** 2 / 6.0, rel=1e-13)
-        assert statfit._trigamma(0.5) == pytest.approx(math.pi ** 2 / 2.0, rel=1e-13)
+        assert statfit._g(1.0) == pytest.approx(np.euler_gamma, rel=1e-14)
+        assert statfit._g(0.5) == pytest.approx(
+            np.euler_gamma + math.log(2.0), rel=1e-14)
+        assert statfit._g_prime(1.0) == pytest.approx(1.0 - math.pi ** 2 / 6.0,
+                                                      rel=1e-14)
+        assert statfit._g_prime(0.5) == pytest.approx(2.0 - math.pi ** 2 / 2.0,
+                                                      rel=1e-14)
 
     def test_recurrences_across_the_series_switch(self):
         # below x = 10 both functions recurse upward; from x = 10 on the
-        # identities check the asymptotic series against each other
+        # recurrences check the asymptotic series against each other
         for x in np.linspace(0.05, 40.0, 800):
             x = float(x)
-            assert statfit._digamma(x + 1.0) - statfit._digamma(x) == pytest.approx(
-                1.0 / x, rel=0.0, abs=1e-13)
-            assert statfit._trigamma(x) - statfit._trigamma(x + 1.0) == pytest.approx(
-                1.0 / (x * x), rel=0.0, abs=1e-13)
+            step = 1.0 / x - math.log1p(1.0 / x)
+            assert statfit._g(x) - statfit._g(x + 1.0) == pytest.approx(
+                step, rel=1e-12)
+            assert statfit._g_prime(x) - statfit._g_prime(x + 1.0) == pytest.approx(
+                -1.0 / (x * x * (x + 1.0)), rel=1e-12)
 
     def test_against_scipy_reference(self):
+        # the references subtract nearly equal numbers, so they carry an
+        # error of a few ulps of ln x and of 1/x
         special = pytest.importorskip("scipy.special")
-        for x in np.geomspace(0.05, 1e4, 2001):
+        for x in np.geomspace(0.05, 1e6, 2001):
             x = float(x)
             psi = float(special.digamma(x))
-            assert abs(statfit._digamma(x) - psi) <= 1e-13 * max(1.0, abs(psi))
-            tri = float(special.polygamma(1, x))
-            assert abs(statfit._trigamma(x) - tri) <= 1e-12 * tri
+            g = math.log(x) - psi
+            assert abs(statfit._g(x) - g) <= 1e-14 * (abs(math.log(x)) + abs(psi))
+            g_prime = 1.0 / x - float(special.polygamma(1, x))
+            assert abs(statfit._g_prime(x) - g_prime) <= 1e-13 / x
             lg = float(special.gammaln(x))
             assert abs(math.lgamma(x) - lg) <= 1e-13 * max(1.0, abs(lg))
         grid = np.geomspace(0.05, 1e4, 121)
