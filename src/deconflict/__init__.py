@@ -14,7 +14,7 @@ oracle that checks it (oracle) shares no code with it and samples each
 window with numpy.
 """
 
-from .errors import (DeconflictError, DegenerateSamples, NonConvergence,
+from .errors import (DeconflictError, DegenerateSamples,
                      OutOfProjectionRange, ScenarioFormatError, TooManyAgents,
                      TopologyRejectionExhausted, UnknownId)
 from .geo import GeoPoint, haversine_m, minutes_to_seconds, mph_to_mps, project

@@ -17,10 +17,6 @@ class DegenerateSamples(DeconflictError):
     """All sample values are equal; no histogram support exists."""
 
 
-class NonConvergence(DeconflictError):
-    """Iterative parameter refinement did not converge within its cap."""
-
-
 class OutOfProjectionRange(DeconflictError):
     """Point too far from the projection reference for a local plane."""
 

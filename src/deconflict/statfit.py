@@ -5,10 +5,11 @@ family once, scores each against the histogram and selects the least SSR.
 The fitting protocol is fixed so SSR values are comparable across runs:
 50 uniform density-normalized bins, residuals taken at bin centers between
 the empirical density and the fitted pdf. Normal and log-normal use
-closed-form maximum likelihood; gamma uses method of moments with Newton
-refinement of the shape likelihood equation; beta uses method of moments on
-samples affinely mapped into (0, 1) over the 1%-padded sample range (delays
-are unbounded above, so a beta fit needs an explicit support choice).
+closed-form maximum likelihood; gamma solves the shape likelihood equation
+ln k − ψ(k) = s by Newton's method from 1/(2s), a start proven to lie below
+the root; beta uses method of moments on samples affinely mapped into (0, 1)
+over the 1%-padded sample range (delays are unbounded above, so a beta fit
+needs an explicit support choice).
 
 Special functions need only `math`: ln Γ is `math.lgamma`, ln B(a, b) is
 ln Γ(a) + ln Γ(b) − ln Γ(a + b), and ln x − ψ(x) and its derivative are
@@ -20,11 +21,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSamples, NonConvergence
+from .errors import DegenerateSamples
 
 DEFAULT_BINS = 50
-GAMMA_NEWTON_MAX_ITER = 50
-GAMMA_NEWTON_TOL = 1e-10
 BETA_SUPPORT_PAD = 0.01
 
 
@@ -49,6 +48,11 @@ def _histogram(x: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
     hi = float(np.max(x))
     if lo == hi:
         raise DegenerateSamples(f"all {x.size} samples equal {lo}")
+    # np.histogram's own test: the uniform edges must strictly increase
+    edges = np.linspace(lo, hi, bins + 1)
+    if not np.all(edges[:-1] < edges[1:]):
+        raise DegenerateSamples(f"{x.size} samples span [{lo!r}, {hi!r}], "
+                                f"too narrow for {bins} bins")
     densities, edges = np.histogram(x, bins=bins, range=(lo, hi), density=True)
     return densities, 0.5 * (edges[:-1] + edges[1:])
 
@@ -129,39 +133,41 @@ def _fit_log_normal(x: np.ndarray) -> dict:
     return {"mu": float(np.mean(lx)), "sigma": sigma}
 
 
+def _gamma_shape(s: float) -> float:
+    """The root k of g(k) = s for s > 0, by Newton's method.
+
+    g is convex and decreasing with 1/(2k) < g(k) < 1/k, so the start
+    1/(2s) lies below the root, and from below the root each Newton step
+    climbs toward it and never passes it. The loop stops at the first step
+    that does not climb, which in floats is within a few ulps of the root.
+    """
+    shape = 0.5 / s
+    while True:
+        new_shape = shape - (_g(shape) - s) / _g_prime(shape)
+        if not new_shape > shape:
+            return shape
+        shape = new_shape
+
+
 def _fit_gamma(x: np.ndarray) -> dict:
-    # fit_report fits NORMAL first, which has raised on the same zero
-    # np.var(x), so var > 0
     mean = float(np.mean(x))
-    var = float(np.var(x))
     # s = ln(mu) − mean(ln x), mu the exact mean, without subtracting nearly
     # equal logs: with d = x/mean − 1, mu = mean (1 + mean(d)), so
-    # s = log1p(mean(d)) − mean(log1p(d)), and the first term takes out the
-    # rounding of mean. s > 0 by Jensen unless the samples are equal, but
-    # rounding can take it to 0 or below for samples a few ulps apart
+    # s = log1p(mean(d)) − mean(ln(x/mean)), and the first term takes out
+    # the rounding of mean. From x = mean/2 up, ln(x/mean) is log1p(d): up
+    # to 2 mean, x − mean is exact (Sterbenz), and above, d > 1. Below
+    # mean/2, d nears −1 and loses digits, so ln(x/mean) is ln x − ln mean,
+    # which is at least ln 2 in size. s > 0 by Jensen unless the samples
+    # are equal, but rounding can take it to 0 or below for samples a few
+    # ulps apart
     d = (x - mean) / mean
-    s = math.log1p(float(np.mean(d))) - float(np.mean(np.log1p(d)))
+    log_ratio = np.log(x) - math.log(mean)
+    np.log1p(d, out=log_ratio, where=x >= 0.5 * mean)
+    s = math.log1p(float(np.mean(d))) - float(np.mean(log_ratio))
     if not s > 0.0:
         raise DegenerateSamples(f"samples too close for a gamma fit: "
                                 f"ln(mean) - mean(ln x) = {s!r}")
-    shape = mean * mean / var  # method-of-moments start
-    # Newton on the profile likelihood equation  ln(k) - psi(k) = s
-    converged = False
-    for _ in range(GAMMA_NEWTON_MAX_ITER):
-        f = _g(shape) - s
-        fp = _g_prime(shape)
-        step = f / fp
-        new_shape = shape - step
-        if new_shape <= 0.0:
-            new_shape = shape / 2.0
-        if abs(new_shape - shape) <= GAMMA_NEWTON_TOL * max(1.0, shape):
-            shape = new_shape
-            converged = True
-            break
-        shape = new_shape
-    if not converged:
-        raise NonConvergence(
-            f"gamma shape refinement did not converge in {GAMMA_NEWTON_MAX_ITER} steps")
+    shape = _gamma_shape(s)
     return {"shape": shape, "scale": mean / shape}
 
 

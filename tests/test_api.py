@@ -10,7 +10,7 @@ import deconflict
 
 PUBLIC_NAMES = {
     # errors
-    "DeconflictError", "DegenerateSamples", "NonConvergence",
+    "DeconflictError", "DegenerateSamples",
     "OutOfProjectionRange", "ScenarioFormatError", "TooManyAgents",
     "TopologyRejectionExhausted", "UnknownId",
     # geo

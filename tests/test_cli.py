@@ -64,13 +64,13 @@ STATISTICS_PINS = {
     "pooled/samples.csv":
         "8592b91ce8a6ca0d819712dd8bb14353ad4a67c35f708fc776af23d113d7d2c4",
     "pooled/fit.json":
-        "19eda30e3920ca57539b6d3b54bdfd76a600051bcd84bd53a7a329c87dcdcf31",
+        "7eb80a6a250332b7039e3b01720e205820a6d579ad41286932d4fe4a4a7178ce",
     "optimal/samples.csv":
         "1bf5499d4de78eeb8894834d2e0cd371aae83189b4e81cfccf71b983dbbd1fcf",
     "optimal/fit.json":
-        "d10dd1a27cb0b0e22996967b852754eb26e4d4ff913dcf54cf54964b1685e6a6",
+        "1fdb666c35ff57277acf8330572ffccaa059455bf9fb85a851c2520d453246c2",
     "fit/fit.json":
-        "288d536a82ac21d8fd98cf9125c5c8a4cade6bbc7751fd9462e4106805bc1f46",
+        "851ae254eac904f4220751bae597b170179ecec0f830d4f0e037f6ed7c433781",
 }
 
 # sha256 of the exit codes and stdout of every solve-pair run in
@@ -283,6 +283,8 @@ def test_fit_rejects_missing_column(tmp_path, capsys):
 @pytest.mark.parametrize("rows,message", [
     (["0.5", "0.5", "0.0"], "all 2 samples equal 0.5"),
     (["1.0", "2.0", "nan", "3.0", "4.0"], "samples must be finite"),
+    (["1.0", "1.0000000000000002", "1.0000000000000004"],
+     "3 samples span [1.0, 1.0000000000000004], too narrow for 50 bins"),
 ])
 def test_fit_rejects_unfittable_samples(rows, message, tmp_path, capsys):
     csv = tmp_path / "samples.csv"

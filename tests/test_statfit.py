@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from deconflict import statfit
-from deconflict.errors import DegenerateSamples, NonConvergence
+from deconflict.errors import DegenerateSamples
 from deconflict.statfit import DistributionFamily, fit_report
 from helpers import child_env
 
@@ -47,6 +48,15 @@ class TestMakeHistogram:
         # rejects them
         with pytest.raises(DegenerateSamples, match="too close for a gamma fit"):
             fit_report([1.0, 1.0, 1.0000000000000002, 1.0000000000000004], bins=2)
+        # one ulp apart, no two uniform bins have finite size; three ulps
+        # apart, two do but not the default 50
+        with pytest.raises(DegenerateSamples, match=re.escape(
+                "2 samples span [1.0, 1.0000000000000002], too narrow for 2 bins")):
+            fit_report([1.0, 1.0000000000000002], bins=2)
+        x = [1.0, 1.0000000000000002, 1.0000000000000004, 1.0000000000000007]
+        assert fit_report(x, bins=2)["n_samples"] == 4
+        with pytest.raises(DegenerateSamples, match="too narrow for 50 bins"):
+            fit_report(x)
 
     def test_integral_is_one_for_gamma_draws(self):
         x = np.random.default_rng(0).gamma(9.0, 2.0, 100_000)
@@ -110,22 +120,24 @@ class TestFit:
         reference = stats.gamma.fit(x, floc=0)[0]
         assert abs(shape - reference) <= 1e-9 * reference
 
-    def test_gamma_newton_halves_a_step_below_zero(self):
-        # the moment start 2.5 exceeds twice the shape 0.26767, so the first
-        # Newton step would go below 0 and is halved instead
-        x = np.array([1e-6, 1.0, 1.0, 1.0, 2.0])
-        shape = fit_of(fit_report(x, bins=2), DistributionFamily.GAMMA)["params"]["shape"]
-        assert np.mean(x) ** 2 / np.var(x) > 2.0 * shape
-        assert shape == pytest.approx(0.26767, abs=1e-5)
+    @pytest.mark.parametrize("x,bins,expected", [
+        # x/mean - 1 rounds to -1 for a draw below mean * 2**-53
+        pytest.param(np.random.default_rng(1).gamma(0.05, 2.0, 10_000), 50,
+                     0.0493201, id="gamma-0.05-draws"),
+        pytest.param(np.array([1e-300, 1.0, 2.0]), 2, 0.00425683, id="1e-300"),
+        # a little further from -1, x/mean - 1 loses digits
+        pytest.param(np.array([2.0904210334673485e-19, 5e-4, 4e-4]), 2,
+                     0.0740253, id="2e-19"),
+        pytest.param(np.array([1e-6, 1.0, 1.0, 1.0, 2.0]), 2, 0.267668, id="1e-6"),
+    ])
+    def test_gamma_of_samples_far_below_the_mean_matches_scipy(self, x, bins,
+                                                                expected):
+        shape = fit_of(fit_report(x, bins=bins),
+                       DistributionFamily.GAMMA)["params"]["shape"]
+        assert shape == pytest.approx(expected, rel=1e-5)
         stats = pytest.importorskip("scipy.stats")
         reference = stats.gamma.fit(x, floc=0)[0]
         assert abs(shape - reference) <= 1e-9 * reference
-
-    def test_gamma_nonconvergence_surfaces(self, monkeypatch):
-        monkeypatch.setattr(statfit, "GAMMA_NEWTON_MAX_ITER", 0)
-        x = np.random.default_rng(4).gamma(3.0, 1.0, 1_000)
-        with pytest.raises(NonConvergence):
-            fit_report(x)
 
     def test_ssr_nonnegative_and_bin_dependent(self):
         x = np.random.default_rng(5).gamma(4.0, 1.5, 20_000)
@@ -246,6 +258,37 @@ class TestSpecialFunctions:
                 step, rel=1e-12)
             assert statfit._g_prime(x) - statfit._g_prime(x + 1.0) == pytest.approx(
                 -1.0 / (x * x * (x + 1.0)), rel=1e-12)
+
+    def test_gamma_shape_newton_climbs_to_the_root(self, monkeypatch):
+        # from the start 1/(2s) below the root, the steps stop within 12
+        # and leave the residual within a few ulps of s. The residual is
+        # bounded by the rounding of _g itself: near k = 5, where _g sums
+        # six recurrence terms, it reads 8.3 eps s at s = 0.10548725713234353
+        # on this grid, and -2.4 and -5.9 eps s one ulp either side of k
+        real = statfit._g_prime
+        depth = 0
+        steps = 0
+
+        def counted(x):
+            # _g_prime recurses through the module name: count only the
+            # outermost call, one per Newton step
+            nonlocal depth, steps
+            steps += depth == 0
+            depth += 1
+            try:
+                return real(x)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(statfit, "_g_prime", counted)
+        eps = np.finfo(float).eps
+        for s in np.geomspace(1e-30, 1e6, 20_001):
+            s = float(s)
+            steps = 0
+            k = statfit._gamma_shape(s)
+            assert 0.5 / s <= k < 1.0 / s
+            assert steps <= 12
+            assert abs(statfit._g(k) - s) <= 12.0 * eps * s
 
     def test_against_scipy_reference(self):
         # the references subtract nearly equal numbers, so they carry an
