@@ -14,8 +14,8 @@ from pathlib import Path
 from . import atlanta
 from .errors import (DegenerateSamples, ScenarioFormatError, TooManyAgents,
                      TopologyRejectionExhausted, UnknownId)
-from .kinematics import (UU_EPS, IntervalKind, SeparationConfig,
-                         forbidden_interval, min_separation_sq)
+from .kinematics import (IntervalKind, SeparationConfig, forbidden_interval,
+                         min_separation_sq)
 from .optimizer import optimize_order
 from .scenario import run_monte_carlo
 from .scenario_io import read_scenario
@@ -67,7 +67,7 @@ def cmd_solve_pair(args) -> int:
     u = first.velocity - second.velocity
     p = first.origin + first.velocity.scaled(0.0) - second.origin
     uu = u.norm_sq()
-    if uu <= UU_EPS:
+    if uu == 0.0:
         print("closest approach at zero delay: degenerate (identical velocities)")
     else:
         t_cpa = -(u.x * p.x + u.y * p.y) / uu

@@ -18,10 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar
 
-#: |U|^2 at or below this means the velocities are identical for all
-#: purposes (drift < 3e-8 m over a 30 s window).
-UU_EPS = 1e-18
-
 
 @dataclass(frozen=True)
 class Vec2:
@@ -150,8 +146,9 @@ def min_separation_sq(a: Mission, t_dep_a: float, b: Mission, t_dep_b: float) ->
     cx = a.origin.x - va.x * t_dep_a - b.origin.x + vb.x * t_dep_b
     cy = a.origin.y - va.y * t_dep_a - b.origin.y + vb.y * t_dep_b
     uu = ux * ux + uy * uy
-    # with identical velocities the gap is constant over the window
-    tmin = -(ux * cx + uy * cy) / uu if uu > UU_EPS else w0
+    # only with identical velocities (uu exactly 0) is the gap constant over
+    # the window; any other vertex time, however far off, is clamped into it
+    tmin = -(ux * cx + uy * cy) / uu if uu > 0.0 else w0
     if tmin < w0:
         tmin = w0
     elif tmin > w1:

@@ -104,7 +104,8 @@ def _g(x: float) -> float:
         return _g(x + 1.0) + 1.0 / x - math.log1p(1.0 / x)
     f = 1.0 / (x * x)
     return 0.5 / x + f * (1 / 12 - f * (
-        1 / 120 - f * (1 / 252 - f * (1 / 240 - f * (1 / 132 - f * 691 / 32760)))))
+        1 / 120 - f * (1 / 252 - f * (1 / 240 - f * (1 / 132 - f * (
+            691 / 32760 - f * (1 / 12 - f * 3617 / 8160)))))))
 
 
 def _g_prime(x: float) -> float:
@@ -114,7 +115,8 @@ def _g_prime(x: float) -> float:
         return _g_prime(x + 1.0) - 1.0 / (x * x * (x + 1.0))
     f = 1.0 / (x * x)
     return -0.5 * f - (f / x) * (1 / 6 - f * (
-        1 / 30 - f * (1 / 42 - f * (1 / 30 - f * (5 / 66 - f * 691 / 2730)))))
+        1 / 30 - f * (1 / 42 - f * (1 / 30 - f * (5 / 66 - f * (
+            691 / 2730 - f * (7 / 6 - f * 3617 / 510)))))))
 
 
 def _fit_normal(x: np.ndarray) -> dict:

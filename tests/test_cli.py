@@ -64,18 +64,18 @@ STATISTICS_PINS = {
     "pooled/samples.csv":
         "8592b91ce8a6ca0d819712dd8bb14353ad4a67c35f708fc776af23d113d7d2c4",
     "pooled/fit.json":
-        "7eb80a6a250332b7039e3b01720e205820a6d579ad41286932d4fe4a4a7178ce",
+        "42421a63b2bdc942172201b5027e8c0b27c825e579700f92f65a00a106aa63c1",
     "optimal/samples.csv":
         "1bf5499d4de78eeb8894834d2e0cd371aae83189b4e81cfccf71b983dbbd1fcf",
     "optimal/fit.json":
-        "1fdb666c35ff57277acf8330572ffccaa059455bf9fb85a851c2520d453246c2",
+        "6cab1b505cee6526457d0532b5a3d1c96b8ceb9dbbb463b06f5c7a9b78d77706",
     "fit/fit.json":
-        "851ae254eac904f4220751bae597b170179ecec0f830d4f0e037f6ed7c433781",
+        "9d2ba959e8a6351a2379678dcf0dc2910224a0474bc9fd0ddd073185f52a0c9a",
 }
 
 # sha256 of the exit codes and stdout of every solve-pair run in
 # test_solve_pair_output_is_pinned; one changed byte fails it
-SOLVE_PAIR_PIN = "49d0c792e4670c42edb25ca82da7728251499fd028e2831c9605f81dc9b1f0ae"
+SOLVE_PAIR_PIN = "3b162efe734058fb60cdaee1415769d18606cc770109992c797a2af001a82a9c"
 
 
 @pytest.fixture

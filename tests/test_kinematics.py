@@ -17,9 +17,8 @@ from helpers import pair_stream, random_pair, sliver_pair
 
 # sha256 over the pairs of _pinned_pairs of forbidden_interval's
 # (kind, lo.hex(), hi.hex()) in both orders and of
-# min_separation_sq(a, 0.3, b, 1.7).hex(), as the solver gave them while it
-# kept a private copy of the clamped-gap code; one changed bit fails the pin
-SOLVER_PIN = "4e8ff5c668e6db6f32db41cdfbbca5ebe01d68ca2bcddd54e0fe95f112599ee1"
+# min_separation_sq(a, 0.3, b, 1.7).hex(); one changed bit fails the pin
+SOLVER_PIN = "fc8682e1190c8c66523d551d0adb9bd38fe00ce435175e7328bde607f62561d9"
 
 ROOT2 = math.sqrt(2.0)
 
