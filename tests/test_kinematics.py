@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ from deconflict import atlanta, oracle
 from deconflict.kinematics import (ForbiddenInterval, IntervalKind, Mission,
                                    SeparationConfig, Vec2, forbidden_interval,
                                    min_separation_sq)
+from deconflict.scheduler import greedy_schedule
 from helpers import pair_stream, random_pair, sliver_pair
 
 # sha256 over the pairs of _pinned_pairs of forbidden_interval's
@@ -21,6 +23,41 @@ from helpers import pair_stream, random_pair, sliver_pair
 SOLVER_PIN = "fc8682e1190c8c66523d551d0adb9bd38fe00ce435175e7328bde607f62561d9"
 
 ROOT2 = math.sqrt(2.0)
+EPS = 2.0 ** -52
+
+
+def exact_min_separation_sq(a, t_dep_a, b, t_dep_b):
+    """min_separation_sq in exact rational arithmetic over the stored floats
+    (origins, velocities, durations, departures): the vertex of the squared
+    gap clamped into the co-airborne window, None when the windows do not
+    overlap."""
+    ta, tb = Fraction(t_dep_a), Fraction(t_dep_b)
+    w0 = max(ta, tb)
+    w1 = min(ta + Fraction(a.duration), tb + Fraction(b.duration))
+    if w0 > w1:
+        return None
+    vax, vay = Fraction(a.velocity.x), Fraction(a.velocity.y)
+    vbx, vby = Fraction(b.velocity.x), Fraction(b.velocity.y)
+    ux, uy = vax - vbx, vay - vby
+    cx = Fraction(a.origin.x) - vax * ta - Fraction(b.origin.x) + vbx * tb
+    cy = Fraction(a.origin.y) - vay * ta - Fraction(b.origin.y) + vby * tb
+    uu = ux * ux + uy * uy
+    t = -(ux * cx + uy * cy) / uu if uu else w0
+    t = min(max(t, w0), w1)
+    rx, ry = ux * t + cx, uy * t + cy
+    return rx * rx + ry * ry
+
+
+def assert_exact_within(a, t_dep_a, b, t_dep_b, bound):
+    """min_separation_sq within bound * EPS of the exact minimum, relative to
+    max(exact, 1); inf exactly when the windows do not overlap."""
+    got = min_separation_sq(a, t_dep_a, b, t_dep_b)
+    exact = exact_min_separation_sq(a, t_dep_a, b, t_dep_b)
+    if exact is None:
+        assert got == math.inf
+    else:
+        assert abs(Fraction(got) - exact) <= bound * EPS * max(exact, 1), \
+            (a, t_dep_a, b, t_dep_b, got, float(exact))
 
 
 class TestVec2:
@@ -123,6 +160,21 @@ class TestMinSeparationSq:
         for times in ((bad, 0.0), (0.0, bad)):
             with pytest.raises(ValueError, match="finite"):
                 min_separation_sq(a, times[0], b, times[1])
+
+    def test_near_parallel_pairs_match_the_exact_minimum(self):
+        # the ordered pinned pairs whose velocities differ by rounding alone:
+        # at 41 delays each, the error is at most 2.2 EPS of max(exact, 1)
+        # (8.2 EPS when |u|^2 <= 1e-18 read the gap at the window's start)
+        near = []
+        for a, b, _ in _pinned_pairs():
+            for first, second in ((a, b), (b, a)):
+                u = first.velocity - second.velocity
+                if 0.0 < u.x * u.x + u.y * u.y <= 1e-18:
+                    near.append((first, second))
+        assert len(near) == 14
+        for first, second in near:
+            for delta in np.linspace(-second.duration, first.duration, 41):
+                assert_exact_within(first, 0.0, second, float(delta), 4.0)
 
     def test_depends_only_on_delay_difference(self):
         for a, b in pair_stream(77, 60):
@@ -245,6 +297,27 @@ def _pinned_pairs():
     cases += [(a, b, SeparationConfig(h=h)) for h in (50.0, 1000.0)
               for a, b in combinations(missions, 2)]
     return cases
+
+
+@pytest.mark.parametrize("speed", [1.0 + 5e-10, 1.0 - 5e-10])
+def test_far_flung_near_parallel_pair_conflicts(speed):
+    """1e10 m parallel tracks 0.75 m apart at 1 and `speed` m/s, h = 1.5.
+
+    |u|^2 is only 2.5e-19, yet the gap drifts 5 m along track over the
+    flight: both agents departing together pass 0.75 m apart, so zero delay
+    is forbidden in both orders, and the greedy schedule is safe.
+    """
+    cfg = SeparationConfig(h=1.5)
+    a = Mission("a", Vec2(0.0, 0.0), Vec2(1e10, 0.0), 1.0)
+    b = Mission("b", Vec2(0.0, 0.75), Vec2(1e10, 0.75), speed)
+    for first, second in ((a, b), (b, a)):
+        fi = forbidden_interval(first, second, cfg)
+        assert fi.kind is IntervalKind.BOUNDED and fi.lo < 0.0 < fi.hi
+        schedule = greedy_schedule([first, second], cfg)
+        assert schedule.departures[1] > 0.0
+        assert oracle.schedule_is_safe([first, second], schedule.departures,
+                                       cfg.h, 1e6)
+    assert_exact_within(a, 0.0, b, 3.0, 4.0)
 
 
 def test_solver_output_is_pinned():

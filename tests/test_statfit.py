@@ -262,9 +262,9 @@ class TestSpecialFunctions:
     def test_gamma_shape_newton_climbs_to_the_root(self, monkeypatch):
         # from the start 1/(2s) below the root, the steps stop within 12
         # and leave the residual within a few ulps of s. The residual is
-        # bounded by the rounding of _g itself: near k = 5, where _g sums
-        # six recurrence terms, it reads 8.3 eps s at s = 0.10548725713234353
-        # on this grid, and -2.4 and -5.9 eps s one ulp either side of k
+        # bounded by the rounding of _g itself: near k = 3.2, where _g sums
+        # seven recurrence terms, it reads -6.2 eps s at
+        # s = 0.1623304527765459 on this grid, and -3.1 eps s one ulp below k
         real = statfit._g_prime
         depth = 0
         steps = 0
@@ -289,6 +289,22 @@ class TestSpecialFunctions:
             assert 0.5 / s <= k < 1.0 / s
             assert steps <= 12
             assert abs(statfit._g(k) - s) <= 12.0 * eps * s
+
+    def test_against_mpmath_reference(self):
+        # 40-digit references on a grid across the series switch at 10 and
+        # log-spaced on to 1e6: the series to B16 keep both functions within
+        # 3.8 and 4.4 eps (relative) on this grid, and within 4.6 and 4.7 eps
+        # on a grid ten times as fine; to B12 they read 70 eps for g and
+        # 959 eps for g' at x = 10
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        grid = [*np.linspace(0.05, 12.0, 400), 10.0, *np.geomspace(12.0, 1e6, 40)]
+        with mpmath.workdps(40):
+            for x in map(float, grid):
+                g = mpmath.log(x) - mpmath.digamma(x)
+                g_prime = 1 / mpmath.mpf(x) - mpmath.polygamma(1, x)
+                assert abs(statfit._g(x) - g) <= 8 * eps * abs(g), x
+                assert abs(statfit._g_prime(x) - g_prime) <= 8 * eps * abs(g_prime), x
 
     def test_against_scipy_reference(self):
         # the references subtract nearly equal numbers, so they carry an
