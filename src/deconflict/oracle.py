@@ -9,7 +9,8 @@ rows, one co-airborne window per row: rows are sampled in (rows x samples)
 blocks of at most CHUNK elements, and with refine=True every row then takes
 one parabolic step, with no loop. A single window, a delay grid and the
 pairs of a schedule are each one call of it; tests pin its outputs bit for
-bit.
+bit. schedule_is_safe forgives a pair's shortfall below h only up to a
+rounding bound derived from that pair's own magnitudes (ROUNDING_K).
 """
 
 import math
@@ -21,8 +22,39 @@ from .kinematics import Mission
 #: elements (rows x samples) per block of the row sampler; a window with
 #: more samples than this is sampled as a block of its own
 CHUNK = 1 << 13
-#: shortfall below h (m) that schedule_is_safe forgives in a sampled minimum
-SLACK = 1e-3
+#: float64 spacing at 1
+EPS = 2.0 ** -52
+
+# schedule_is_safe accepts a pair when its refined min separation is at
+# least h - ROUNDING_K * EPS * S. For the pair's flights a, b departing ta,
+# tb, S = O + V T with O = |aox| + |aoy| + |box| + |boy|, V = |avx| + |avy|
+# + |bvx| + |bvy| and T the largest of |ta|, |tb|, |ta + dur_a|, |tb +
+# dur_b| (the later arrival when no departure is negative). Every sample
+# the refined sampler takes is the squared gap at a float instant t, whose
+# exact value is at least the exact window minimum m^2 (less a slip past
+# the window's end), so only rounding can put the result below m.
+# With u = EPS / 2 the unit roundoff, the bounds on what _sample does are,
+# to first order in u:
+#   - instants, 10 u V T: w1 = fl(min(ta + dur_a, tb + dur_b)) is off by
+#     u T; a grid instant fl(w0 + fl(fl(j) * dt)), j <= fl(fl(w1 - w0) / dt)
+#     and w1 - w0 <= 2 T, passes w1 by 4 roundings of 2 T plus one of T;
+#     the refined instants stay in [w0, w1]. The relative speed is at most
+#     V, so a slip of 10 u T past the window shrinks the gap by 10 u V T.
+#   - coordinates, 4 u O + 8 u V T: cx = fl(fl(fl(aox - fl(avx ta)) - box)
+#     + fl(bvx tb)) is off by 3 u (|aox| + |box|) + 4 u (|avx| + |bvx|) T;
+#     fl(fl(avx - bvx) t) by 2 u (|avx| + |bvx|) T; the add of the two by
+#     u (|aox| + |box| + 2 (|avx| + |bvx|) T); likewise in y. The gap
+#     vector is off by at most their sum over both axes, <= 8 u S.
+#   - square root, 4 u S: the two squares and their sum lose at most a
+#     factor (1 - u)^2 of the squared gap and the root one (1 - u), so the
+#     separation is at least (1 - 2 u) of the gap's length, which is at
+#     most O + 2 V T <= 2 S.
+#   - gate, 2 u S: h - K EPS S rounds once, by at most u h, and a pair with
+#     m >= h has h <= m <= 2 S.
+# That is 24 u = 12 EPS per unit of S. Every product of two or more
+# roundings, and the rounding of S itself, adds less than 1e-12 EPS S, so
+# 13 is the least integer bound. Overflow and subnormals are outside it.
+ROUNDING_K = 13
 
 
 def _step(dt) -> float:
@@ -194,6 +226,15 @@ def schedule_pair_min_seps(missions, departures, dt: float,
 
 
 def schedule_is_safe(missions, departures, h: float, dt: float) -> bool:
-    """True when every co-airborne pair keeps separation >= h - SLACK."""
-    seps = schedule_pair_min_seps(missions, departures, dt)
-    return bool(np.all(seps >= h - SLACK))
+    """True when every co-airborne pair keeps its refined min separation
+    >= h - ROUNDING_K * EPS * S, S the pair's magnitude scale (see
+    ROUNDING_K). The refined minimum of the convex squared gap is its
+    vertex at any dt, so dt does not decide the verdict."""
+    seps = schedule_pair_min_seps(missions, departures, dt, refine=True)
+    ox, oy, vx, vy, dur = np.abs(_flights(missions))
+    departures = np.asarray(departures, dtype=np.float64)
+    reach = np.maximum(np.abs(departures), np.abs(departures + dur))
+    i, j = np.triu_indices(len(missions), 1)
+    o, v = ox + oy, vx + vy
+    scale = o[i] + o[j] + (v[i] + v[j]) * np.maximum(reach[i], reach[j])
+    return bool(np.all(seps >= h - ROUNDING_K * EPS * scale))

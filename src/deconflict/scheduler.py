@@ -133,7 +133,7 @@ def place_next(lo, hi, states, nxt, k):
         inside = (los < t) & (t < his)
         if not inside.any():
             break
-        t = np.maximum(t, np.where(inside, his, -np.inf).max(axis=0))
+        t = np.where(inside, his, t).max(axis=0)
     return t
 
 

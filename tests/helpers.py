@@ -1,9 +1,11 @@
-"""Shared helpers for the test suite: random-instance generators, a segment
-intersection test, the scalar greedy sweep, and the environment for child
-interpreters."""
+"""Shared helpers for the test suite: random-instance generators, scaled
+and shifted copies of missions, the magnitude scale of the oracle's
+rounding bound, a segment intersection test, the scalar greedy sweep, and
+the environment for child interpreters."""
 
 import itertools
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +71,29 @@ def sliver_pair(x0: float, eps: float, h: float = 1.5):
 
 def random_instance(rng: np.random.Generator, n: int) -> list:
     return [random_mission(rng, f"M{i + 1}") for i in range(n)]
+
+
+def scaled(missions, factor: float = 1.0, shift: float = 0.0) -> list:
+    """missions with every coordinate times factor plus shift, and every
+    speed times factor, so each duration keeps its value up to rounding."""
+    def point(p):
+        return Vec2(p.x * factor + shift, p.y * factor + shift)
+
+    return [Mission(m.id, point(m.origin), point(m.destination), m.speed * factor)
+            for m in missions]
+
+
+def magnitude_scale(a: Mission, ta, b: Mission, tb) -> Fraction:
+    """S of the oracle's rounding bound for a departing ta and b departing
+    tb, in exact arithmetic: the four origin coordinates plus the four
+    velocity components times T, the largest magnitude of the two departure
+    and two arrival instants."""
+    ta, tb = Fraction(ta), Fraction(tb)
+    t = max(abs(ta), abs(tb), abs(ta + Fraction(a.duration)),
+            abs(tb + Fraction(b.duration)))
+    coords = sum(abs(Fraction(x)) for m in (a, b) for x in (m.origin.x, m.origin.y))
+    speeds = sum(abs(Fraction(x)) for m in (a, b) for x in (m.velocity.x, m.velocity.y))
+    return coords + speeds * t
 
 
 def _orient(ax, ay, bx, by, cx, cy) -> float:

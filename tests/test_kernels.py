@@ -19,7 +19,8 @@ import deconflict
 from deconflict import oracle
 from deconflict.kinematics import (IntervalKind, Mission, SeparationConfig, Vec2,
                                    forbidden_interval, min_separation_sq)
-from helpers import pair_stream, random_instance, sliver_pair
+from helpers import (magnitude_scale, pair_stream, random_instance, scaled,
+                     sliver_pair)
 
 CFG = SeparationConfig(h=1.5)
 
@@ -125,31 +126,40 @@ def test_polish_output_is_pinned():
     assert _pin(seps) == POLISH_PIN
 
 
+def _exact_gap(a, ta, b, tb, w0, w1):
+    """The true minimum of |u t + c|^2 over the window [w0, w1] and the
+    exact u and c: a departing ta and b departing tb, all in Fraction.
+
+    u and c are exact over the stored floats, and so is the clamped vertex
+    -(u.c)/|u|^2.
+    """
+    va, vb = a.velocity, b.velocity
+    ux, uy = Fraction(va.x) - Fraction(vb.x), Fraction(va.y) - Fraction(vb.y)
+    cx = (Fraction(a.origin.x) - Fraction(va.x) * ta
+          - Fraction(b.origin.x) + Fraction(vb.x) * tb)
+    cy = (Fraction(a.origin.y) - Fraction(va.y) * ta
+          - Fraction(b.origin.y) + Fraction(vb.y) * tb)
+    uu = ux * ux + uy * uy
+    t = w0
+    if uu:
+        t = min(max(-(ux * cx + uy * cy) / uu, w0), w1)
+    gx, gy = ux * t + cx, uy * t + cy
+    return gx * gx + gy * gy, uu, cx, cy
+
+
 def _exact_min_sq(a, ta, b, tb):
     """The true minimum of |u t + c|^2 over the co-airborne window, and the
     scale (|u| T + |c|)^2 of its rounding error, T the window's latest
-    instant; None for an empty window.
-
-    u and c are exact over the stored floats (Fraction), and so is the
-    clamped vertex -(u.c)/|u|^2. The window's ends are the float sums the
-    oracle is asked about, max(ta, tb) and min(ta + dur_a, tb + dur_b).
+    instant; None for an empty window. The window's ends are the float sums
+    the oracle is asked about, max(ta, tb) and min(ta + dur_a, tb + dur_b).
     """
     w0, w1 = max(ta, tb), min(ta + a.duration, tb + b.duration)
     if w0 > w1:
         return None
-    va, vb = a.velocity, b.velocity
-    ux, uy = Fraction(va.x) - Fraction(vb.x), Fraction(va.y) - Fraction(vb.y)
-    cx = (Fraction(a.origin.x) - Fraction(va.x) * Fraction(ta)
-          - Fraction(b.origin.x) + Fraction(vb.x) * Fraction(tb))
-    cy = (Fraction(a.origin.y) - Fraction(va.y) * Fraction(ta)
-          - Fraction(b.origin.y) + Fraction(vb.y) * Fraction(tb))
-    uu = ux * ux + uy * uy
-    t = Fraction(w0)
-    if uu:
-        t = min(max(-(ux * cx + uy * cy) / uu, t), Fraction(w1))
-    gx, gy = ux * t + cx, uy * t + cy
+    m2, uu, cx, cy = _exact_gap(a, Fraction(ta), b, Fraction(tb),
+                                Fraction(w0), Fraction(w1))
     scale = math.sqrt(uu) * max(abs(w0), abs(w1)) + math.hypot(cx, cy)
-    return gx * gx + gy * gy, scale * scale
+    return m2, scale * scale
 
 
 def _exact_rows():
@@ -188,6 +198,74 @@ def test_refined_oracle_is_exact_up_to_rounding():
                 else:
                     plain_misses += not within
     assert rows > 1500 and plain_misses > 100
+
+
+def _far_rows():
+    """(dt, firsts, t_firsts, seconds, t_seconds): box pairs translated by
+    1e3..1e12 m or scaled by 2^10..2^40 (speeds too), at delays across each
+    pair's window."""
+    rows = []
+    for k, (a, b) in enumerate(pair_stream(3003, 16)):
+        for fa, fb in (scaled([a, b], shift=10.0 ** (3 + 3 * (k % 4))),
+                       scaled([a, b], factor=2.0 ** (10 + 10 * (k % 4)))):
+            rows += [(fa, 0.0, fb, d)
+                     for d in np.linspace(-fb.duration, fa.duration, 9)]
+    yield 0.05, *zip(*rows)
+
+
+def _exact_shortfall(sep_sq, a, ta, b, tb):
+    """How far the oracle's separation sqrt(sep_sq) lies below the true
+    minimum over the exact co-airborne window, in units of EPS * S; None
+    for an empty exact window. The true minimum's root is bounded above to
+    within 2^-200."""
+    ta, tb = Fraction(ta), Fraction(tb)
+    w0 = max(ta, tb)
+    w1 = min(ta + Fraction(a.duration), tb + Fraction(b.duration))
+    if w0 > w1:
+        return None
+    if sep_sq == math.inf:
+        return -math.inf
+    m2 = _exact_gap(a, ta, b, tb, w0, w1)[0]
+    root = Fraction(math.isqrt(m2.numerator * 4 ** 200 // m2.denominator) + 1,
+                    2 ** 200)
+    short = root - Fraction(math.sqrt(sep_sq))
+    return float(short / (Fraction(oracle.EPS) * magnitude_scale(a, ta, b, tb)))
+
+
+def test_refined_separation_clears_exact_minimum_within_rounding_bound():
+    # schedule_is_safe's gate forgives ROUNDING_K * EPS * S below h: the
+    # refined separation never lies further below the exact minimum
+    worst, rows = -math.inf, 0
+    for dt, *batch in (*_exact_rows(), *_far_rows()):
+        seps = oracle.pairs_min_sep_sq(*batch, dt, refine=True)
+        for sep_sq, row in zip(seps.tolist(), zip(*batch)):
+            short = _exact_shortfall(sep_sq, *row)
+            if short is not None:
+                worst = max(worst, short)
+                rows += 1
+    print(f"worst shortfall below the exact minimum: {worst:.3g} EPS * S "
+          f"over {rows} rows")
+    assert rows > 2000 and worst < oracle.ROUNDING_K
+
+
+def test_parallel_pair_inside_millimetre_separation_is_unsafe():
+    # 2.1 mm apart at h = 3 mm: a 30 % violation the solver sees at delay 0
+    a = Mission("a", Vec2(0.0, 0.0), Vec2(10.0, 0.0), 1.0)
+    b = Mission("b", Vec2(0.0, 0.0021), Vec2(10.0, 0.0021), 1.0)
+    fi = forbidden_interval(a, b, SeparationConfig(h=0.003))
+    assert fi.kind is IntervalKind.BOUNDED and fi.lo < 0.0 < fi.hi
+    assert not oracle.schedule_is_safe([a, b], [0.0, 0.0], 0.003, 0.01)
+
+
+def test_schedule_verdict_does_not_depend_on_dt():
+    # closest pass 0.354 m at t = 5.25 s; plain samples at dt = 4 s (0, 4, 8
+    # and 10 s) come no nearer than 1.80 m
+    a = Mission("a", Vec2(0.0, 0.0), Vec2(10.0, 0.0), 1.0)
+    b = Mission("b", Vec2(5.5, -5.0), Vec2(5.5, 5.0), 1.0)
+    for dt in (0.001, 0.01, 1.0, 4.0):
+        assert not oracle.schedule_is_safe([a, b], [0.0, 0.0], 1.5, dt), dt
+        # the pass is exactly sqrt(0.125) m, which clears h = sqrt(0.125)
+        assert oracle.schedule_is_safe([a, b], [0.0, 0.0], 0.125 ** 0.5, dt), dt
 
 
 def _schedules():
