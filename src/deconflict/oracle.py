@@ -22,18 +22,18 @@ from .kinematics import Mission
 #: elements (rows x samples) per block of the row sampler; a window with
 #: more samples than this is sampled as a block of its own
 CHUNK = 1 << 13
-#: float64 spacing at 1
-EPS = 2.0 ** -52
 
 # schedule_is_safe accepts a pair when its refined min separation is at
-# least h - ROUNDING_K * EPS * S. For the pair's flights a, b departing ta,
-# tb, S = O + V T with O = |aox| + |aoy| + |box| + |boy|, V = |avx| + |avy|
-# + |bvx| + |bvy| and T the largest of |ta|, |tb|, |ta + dur_a|, |tb +
-# dur_b| (the later arrival when no departure is negative). Every sample
-# the refined sampler takes is the squared gap at a float instant t, whose
-# exact value is at least the exact window minimum m^2 (less a slip past
-# the window's end), so only rounding can put the result below m.
-# With u = EPS / 2 the unit roundoff, the bounds on what _sample does are,
+# least h - ROUNDING_K * eps * S, eps = 2^-52 the float64 spacing at 1. For
+# the pair's flights a, b departing ta, tb, S = O + V T with O = |aox| +
+# |aoy| + |box| + |boy|, V = |avx| + |avy| + |bvx| + |bvy| and T the
+# largest of |ta|, |tb| and |w1|, w1 = min(ta + dur_a, tb + dur_b) the end
+# of the co-airborne window (the earlier arrival when no departure is
+# negative). Every instant _sample touches lies within [max(ta, tb), w1]
+# up to rounding, and every sample is the squared gap at a float instant t,
+# whose exact value is at least the exact window minimum m^2 (less a slip
+# past the window's end), so only rounding can put the result below m.
+# With u = eps / 2 the unit roundoff, the bounds on what _sample does are,
 # to first order in u:
 #   - instants, 10 u V T: w1 = fl(min(ta + dur_a, tb + dur_b)) is off by
 #     u T; a grid instant fl(w0 + fl(fl(j) * dt)), j <= fl(fl(w1 - w0) / dt)
@@ -49,11 +49,12 @@ EPS = 2.0 ** -52
 #     factor (1 - u)^2 of the squared gap and the root one (1 - u), so the
 #     separation is at least (1 - 2 u) of the gap's length, which is at
 #     most O + 2 V T <= 2 S.
-#   - gate, 2 u S: h - K EPS S rounds once, by at most u h, and a pair with
+#   - gate, 2 u S: h - K eps S rounds once, by at most u h, and a pair with
 #     m >= h has h <= m <= 2 S.
-# That is 24 u = 12 EPS per unit of S. Every product of two or more
-# roundings, and the rounding of S itself, adds less than 1e-12 EPS S, so
-# 13 is the least integer bound. Overflow and subnormals are outside it.
+# That is 24 u = 12 eps per unit of S. Every product of two or more
+# roundings, and the rounding of S itself, adds less than 1e-12 eps S, so
+# 13 is the least integer bound. Overflow and subnormals are outside it:
+# schedule_is_safe raises ValueError when S itself overflows.
 ROUNDING_K = 13
 
 
@@ -210,31 +211,45 @@ def delta_grid_min_sep_sq(first: Mission, second: Mission,
     return seps.reshape(deltas.shape)
 
 
+def _schedule_pairs(missions, departures):
+    """A schedule's flights (as from _flights), its departures as float64,
+    and the indices i < j of its pairs, row-major in mission-list order."""
+    departures = np.asarray(departures, dtype=np.float64)
+    if len(missions) != len(departures):
+        raise ValueError("missions and departure times differ in length")
+    i, j = np.triu_indices(len(missions), 1)
+    return _flights(missions), departures, i, j
+
+
 def schedule_pair_min_seps(missions, departures, dt: float,
                            refine: bool = False) -> np.ndarray:
     """Per-pair sampled min separation (meters) for a full schedule.
 
     Output is row-major over pairs i<j in mission-list order.
     """
-    departures = np.asarray(departures, dtype=np.float64)
-    if len(missions) != len(departures):
-        raise ValueError("missions and departure times differ in length")
-    f = _flights(missions)
-    i, j = np.triu_indices(len(missions), 1)
+    f, departures, i, j = _schedule_pairs(missions, departures)
     return np.sqrt(_sample(f[:, i], departures[i], f[:, j], departures[j],
                            dt, refine))
 
 
 def schedule_is_safe(missions, departures, h: float, dt: float) -> bool:
     """True when every co-airborne pair keeps its refined min separation
-    >= h - ROUNDING_K * EPS * S, S the pair's magnitude scale (see
-    ROUNDING_K). The refined minimum of the convex squared gap is its
-    vertex at any dt, so dt does not decide the verdict."""
-    seps = schedule_pair_min_seps(missions, departures, dt, refine=True)
-    ox, oy, vx, vy, dur = np.abs(_flights(missions))
-    departures = np.asarray(departures, dtype=np.float64)
-    reach = np.maximum(np.abs(departures), np.abs(departures + dur))
-    i, j = np.triu_indices(len(missions), 1)
-    o, v = ox + oy, vx + vy
-    scale = o[i] + o[j] + (v[i] + v[j]) * np.maximum(reach[i], reach[j])
-    return bool(np.all(seps >= h - ROUNDING_K * EPS * scale))
+    >= h - ROUNDING_K * eps * S, eps = 2^-52 and S the pair's magnitude
+    scale (see ROUNDING_K). The refined minimum of the convex squared gap
+    is its vertex at any dt, so dt does not decide the verdict. Raises
+    ValueError, as the samplers do, on unusable input, and when a pair's
+    S overflows float64, where the rounding bound does not hold."""
+    f, departures, i, j = _schedule_pairs(missions, departures)
+    ox, oy, vx, vy, dur = np.abs(f)
+    ta, tb = departures[i], departures[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w1 = np.minimum(ta + dur[i], tb + dur[j])
+        reach = np.maximum(np.maximum(np.abs(ta), np.abs(tb)), np.abs(w1))
+        scale = (ox[i] + oy[i] + ox[j] + oy[j]
+                 + (vx[i] + vy[i] + vx[j] + vy[j]) * reach)
+    # a non-finite departure is left to _sample, which names it
+    if np.isfinite(departures).all() and not np.isfinite(scale).all():
+        raise ValueError(f"a pair's magnitude scale S is {float(scale.max())!r}, "
+                         "beyond float64: the oracle cannot bound its rounding")
+    seps = np.sqrt(_sample(f[:, i], ta, f[:, j], tb, dt, True))
+    return bool(np.all(seps >= h - ROUNDING_K * np.finfo(np.float64).eps * scale))

@@ -87,10 +87,10 @@ def magnitude_scale(a: Mission, ta, b: Mission, tb) -> Fraction:
     """S of the oracle's rounding bound for a departing ta and b departing
     tb, in exact arithmetic: the four origin coordinates plus the four
     velocity components times T, the largest magnitude of the two departure
-    and two arrival instants."""
+    instants and the end of the co-airborne window, the earlier arrival."""
     ta, tb = Fraction(ta), Fraction(tb)
-    t = max(abs(ta), abs(tb), abs(ta + Fraction(a.duration)),
-            abs(tb + Fraction(b.duration)))
+    end = min(ta + Fraction(a.duration), tb + Fraction(b.duration))
+    t = max(abs(ta), abs(tb), abs(end))
     coords = sum(abs(Fraction(x)) for m in (a, b) for x in (m.origin.x, m.origin.y))
     speeds = sum(abs(Fraction(x)) for m in (a, b) for x in (m.velocity.x, m.velocity.y))
     return coords + speeds * t

@@ -215,7 +215,7 @@ def _far_rows():
 
 def _exact_shortfall(sep_sq, a, ta, b, tb):
     """How far the oracle's separation sqrt(sep_sq) lies below the true
-    minimum over the exact co-airborne window, in units of EPS * S; None
+    minimum over the exact co-airborne window, in units of eps * S; None
     for an empty exact window. The true minimum's root is bounded above to
     within 2^-200."""
     ta, tb = Fraction(ta), Fraction(tb)
@@ -229,11 +229,12 @@ def _exact_shortfall(sep_sq, a, ta, b, tb):
     root = Fraction(math.isqrt(m2.numerator * 4 ** 200 // m2.denominator) + 1,
                     2 ** 200)
     short = root - Fraction(math.sqrt(sep_sq))
-    return float(short / (Fraction(oracle.EPS) * magnitude_scale(a, ta, b, tb)))
+    eps = Fraction(np.finfo(np.float64).eps)
+    return float(short / (eps * magnitude_scale(a, ta, b, tb)))
 
 
 def test_refined_separation_clears_exact_minimum_within_rounding_bound():
-    # schedule_is_safe's gate forgives ROUNDING_K * EPS * S below h: the
+    # schedule_is_safe's gate forgives ROUNDING_K * eps * S below h: the
     # refined separation never lies further below the exact minimum
     worst, rows = -math.inf, 0
     for dt, *batch in (*_exact_rows(), *_far_rows()):
@@ -243,7 +244,7 @@ def test_refined_separation_clears_exact_minimum_within_rounding_bound():
             if short is not None:
                 worst = max(worst, short)
                 rows += 1
-    print(f"worst shortfall below the exact minimum: {worst:.3g} EPS * S "
+    print(f"worst shortfall below the exact minimum: {worst:.3g} eps * S "
           f"over {rows} rows")
     assert rows > 2000 and worst < oracle.ROUNDING_K
 
@@ -266,6 +267,25 @@ def test_schedule_verdict_does_not_depend_on_dt():
         assert not oracle.schedule_is_safe([a, b], [0.0, 0.0], 1.5, dt), dt
         # the pass is exactly sqrt(0.125) m, which clears h = sqrt(0.125)
         assert oracle.schedule_is_safe([a, b], [0.0, 0.0], 0.125 ** 0.5, dt), dt
+
+
+def test_parked_mission_in_a_crossing_path_is_unsafe():
+    # a at 1e-310 m/s takes an infinite time to fly its 1 m, so S must come
+    # from the co-airborne window, which ends when b lands; b flies through
+    # a at t = 5 s
+    a = Mission("a", Vec2(0.0, 0.0), Vec2(1.0, 0.0), 1e-310)
+    b = Mission("b", Vec2(-5.0, 0.0), Vec2(5.0, 0.0), 1.0)
+    assert a.duration == math.inf
+    assert not oracle.schedule_is_safe([a, b], [0.0, 0.0], 1.5, 0.01)
+
+
+def test_schedule_check_rejects_a_magnitude_scale_beyond_float64():
+    # 1e300 m/s times the 1e10 s departure overflows S, and with it the
+    # sampled gap: the rounding bound cannot hold, so no verdict is given
+    a = Mission("a", Vec2(0.0, 0.0), Vec2(1.0, 0.0), 1e300)
+    b = Mission("b", Vec2(0.0, -1e10), Vec2(0.0, 1e10), 1.0)
+    with pytest.raises(ValueError, match="magnitude scale"):
+        oracle.schedule_is_safe([a, b], [1e10, 0.0], 1.5, 0.01)
 
 
 def _schedules():
