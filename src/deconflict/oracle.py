@@ -6,11 +6,14 @@ polishing the sampled minimum with one more sample, placed from sampled
 values alone), so it shares no code path with the vertex/root analysis in
 kinematics: it takes only the Mission type from there. One sampler works on
 rows, one co-airborne window per row: rows are sampled in (rows x samples)
-blocks of at most CHUNK elements, and with refine=True every row then takes
-one parabolic step, with no loop. A single window, a delay grid and the
-pairs of a schedule are each one call of it; tests pin its outputs bit for
-bit. schedule_is_safe forgives a pair's shortfall below h only up to a
-rounding bound derived from that pair's own magnitudes (ROUNDING_K).
+blocks of at most CHUNK elements. Plain sampling (refine=False) samples a
+window at step dt, so only it depends on dt, and its memory grows as
+window / dt. A refined row samples its window's two ends and then takes one
+parabolic step over the whole window, with no loop, whatever dt. A single
+window, a delay grid and the pairs of a schedule are each one call of it;
+tests pin its outputs bit for bit. schedule_is_safe forgives a pair's
+shortfall below h only up to a rounding bound derived from that pair's
+own magnitudes (ROUNDING_K).
 """
 
 import math
@@ -29,17 +32,18 @@ CHUNK = 1 << 13
 # |aoy| + |box| + |boy|, V = |avx| + |avy| + |bvx| + |bvy| and T the
 # largest of |ta|, |tb| and |w1|, w1 = min(ta + dur_a, tb + dur_b) the end
 # of the co-airborne window (the earlier arrival when no departure is
-# negative). Every instant _sample touches lies within [max(ta, tb), w1]
-# up to rounding, and every sample is the squared gap at a float instant t,
-# whose exact value is at least the exact window minimum m^2 (less a slip
-# past the window's end), so only rounding can put the result below m.
-# With u = eps / 2 the unit roundoff, the bounds on what _sample does are,
-# to first order in u:
-#   - instants, 10 u V T: w1 = fl(min(ta + dur_a, tb + dur_b)) is off by
-#     u T; a grid instant fl(w0 + fl(fl(j) * dt)), j <= fl(fl(w1 - w0) / dt)
-#     and w1 - w0 <= 2 T, passes w1 by 4 roundings of 2 T plus one of T;
-#     the refined instants stay in [w0, w1]. The relative speed is at most
-#     V, so a slip of 10 u T past the window shrinks the gap by 10 u V T.
+# negative). Every instant a refined row samples lies within [max(ta, tb),
+# w1] up to rounding, and every sample is the squared gap at a float
+# instant t, whose exact value is at least the exact window minimum m^2
+# (less a slip past the window's end), so only rounding can put the result
+# below m. With u = eps / 2 the unit roundoff, the bounds on what _sample
+# does with refine=True are, to first order in u:
+#   - instants, u V T: w0 = max(ta, tb) is exact and w1 = fl(min(ta +
+#     dur_a, tb + dur_b)) is off by u T. A refined row samples w0, w1, its
+#     middle fl(0.5 fl(w0 + w1)) and the vertex clipped to [w0, w1], all in
+#     [w0, w1] (rounding is monotone, so w0 + w1 rounds to at most 2 w1).
+#     The relative speed is at most V, so a slip of u T past the window
+#     shrinks the gap by u V T.
 #   - coordinates, 4 u O + 8 u V T: cx = fl(fl(fl(aox - fl(avx ta)) - box)
 #     + fl(bvx tb)) is off by 3 u (|aox| + |box|) + 4 u (|avx| + |bvx|) T;
 #     fl(fl(avx - bvx) t) by 2 u (|avx| + |bvx|) T; the add of the two by
@@ -51,11 +55,11 @@ CHUNK = 1 << 13
 #     most O + 2 V T <= 2 S.
 #   - gate, 2 u S: h - K eps S rounds once, by at most u h, and a pair with
 #     m >= h has h <= m <= 2 S.
-# That is 24 u = 12 eps per unit of S. Every product of two or more
+# That is 15 u = 7.5 eps per unit of S. Every product of two or more
 # roundings, and the rounding of S itself, adds less than 1e-12 eps S, so
-# 13 is the least integer bound. Overflow and subnormals are outside it:
+# 8 is the least integer bound. Overflow and subnormals are outside it:
 # schedule_is_safe raises ValueError when S itself overflows.
-ROUNDING_K = 13
+ROUNDING_K = 8
 
 
 def _step(dt) -> float:
@@ -80,11 +84,11 @@ def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
     ta, tb: one row per element of the broadcast arrays, inf where the
     co-airborne window is empty.
 
-    A row's window is sampled at step dt plus its far end. With refine=True
-    the gap is also sampled at both ends and the middle of [tbest - dt,
-    tbest + dt] clipped to the window, tbest the sampled argmin, and once
-    more at the vertex of the parabola through those three values, clipped
-    to the bracket; the least sample is kept.
+    With refine=False a row's window is sampled at step dt plus its far
+    end. With refine=True it is sampled at its two ends alone, then at its
+    middle and once more at the vertex of the parabola through those three
+    values, clipped to the window, whatever dt. The least of the
+    end or grid samples and the vertex sample is kept.
     """
     dt = _step(dt)
     ta = np.asarray(ta, dtype=np.float64)
@@ -104,19 +108,23 @@ def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
     rows = np.flatnonzero(~(w0 > w1))
     # row i samples w0 + j*dt for j < n[i] - 1 and then w1; +inf pads the
     # rest of its block. Widest rows first, so a block's first row is its
-    # widest and sets how many rows fit in CHUNK.
-    steps = (w1[rows] - w0[rows]) / dt
-    if not (steps < 2.0 ** 63).all():  # also an overflowed inf or nan
-        raise ValueError(f"a co-airborne window spans {steps.max()!r} steps of dt "
-                         f"{dt!r}, beyond the int64 sample count")
-    n = steps.astype(np.int64) + 2
+    # widest and sets how many rows fit in CHUNK. A refined row samples its
+    # window's two ends alone: the parabola step below brackets the whole
+    # window, so it needs no grid.
+    if refine:
+        n = np.full(rows.size, 2, dtype=np.int64)
+    else:
+        steps = (w1[rows] - w0[rows]) / dt
+        if not (steps < 2.0 ** 63).all():  # also an overflowed inf or nan
+            raise ValueError(f"a co-airborne window spans {steps.max()!r} steps "
+                             f"of dt {dt!r}, beyond the int64 sample count")
+        n = steps.astype(np.int64) + 2
     by_width = np.argsort(-n)
     rows, n = rows[by_width], n[by_width]
     ux, uy, cx, cy, w0, w1 = (x[rows] for x in (ux, uy, cx, cy, w0, w1))
     j = np.arange(n.max(initial=0))
     jdt = j * dt
     best = np.empty(rows.size)
-    tbest = np.empty(rows.size)
     s = 0
     while s < rows.size:
         blk = slice(s, s + max(1, CHUNK // int(n[s])))
@@ -133,9 +141,7 @@ def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
         ry *= ry
         d += ry
         np.putmask(d, j[:nb[0]] >= nb[:, None], np.inf)
-        k = np.argmin(d, axis=1)  # the first of equal minima
-        best[blk] = d[i, k]
-        tbest[blk] = t[i, k]
+        best[blk] = d.min(axis=1)
         s = blk.stop
     if refine:
         def gap(t):
@@ -143,13 +149,11 @@ def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
             ry = uy * t + cy
             return rx * rx + ry * ry
 
-        # the squared gap is a quadratic in t: its samples at lo, mid and
-        # hi fix it, and the parabola's vertex, clipped to [lo, hi], is
-        # sampled once more (a flat or concave row samples mid)
-        lo = tbest - dt
-        lo = np.where(lo > w0, lo, w0)
-        hi = tbest + dt
-        hi = np.where(hi < w1, hi, w1)
+        # the squared gap is a convex quadratic in t: its samples at the
+        # window's ends lo, hi and middle fix it, and the parabola's
+        # vertex, clipped to [lo, hi], is sampled once more (a flat row,
+        # or one that rounds concave, samples mid)
+        lo, hi = w0, w1
         mid = 0.5 * (lo + hi)
         f0, f1, f2 = gap(lo), gap(mid), gap(hi)
         curv = f0 - 2.0 * f1 + f2
@@ -165,24 +169,27 @@ def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
 
 def pairs_min_sep_sq(firsts, t_firsts, seconds, t_seconds,
                      dt: float, refine: bool = False) -> np.ndarray:
-    """Min squared co-airborne distance of each row by sampling at step dt.
+    """Min squared co-airborne distance of each row, by sampling.
 
     Row i is firsts[i] departing t_firsts[i] against seconds[i] departing
     t_seconds[i]; the four sequences must have one length. Plain sampling
+    (refine=False) samples each window at step dt plus its far end, and
     overestimates the true minimum by at most the grid gap. The squared gap
     |u t + c|^2 (u the relative velocity, c the relative position at t = 0)
-    is quadratic in t, so refine=True samples it at three instants around
-    the sampled argmin and once more at the vertex of the parabola through
-    them; tests check the result within 1e-11 (|u| T + |c|)^2 of the exact
-    minimum, T the latest instant of the window. A row whose airborne
-    windows do not overlap gives inf. Every entry point raises ValueError
-    unless dt is finite and > 0, every time is finite and every window has
-    fewer than 2^63 steps of dt.
+    is a convex quadratic in t, so refine=True samples it at the window's
+    two ends and its middle and once more at the vertex of the parabola
+    through them, whatever dt; tests check the result within
+    1e-11 (|u| T + |c|)^2 of the exact minimum, T the latest instant of the
+    window. A row whose airborne windows do not overlap gives inf. Every
+    entry point raises ValueError unless dt is finite and > 0 and every
+    time is finite; plain sampling also unless every window has fewer than
+    2^63 steps of dt.
 
-    Memory grows as window / dt: a window of more than CHUNK samples is a
-    block of its own, and all its samples are allocated at once. Two 1e17 m
-    routes at dt 1.0 end in MemoryError, not ValueError; there is no cap
-    (ROADMAP item 7, bounded inputs).
+    Plain sampling's memory grows as window / dt: a window of more than
+    CHUNK samples is a block of its own, and all its samples are allocated
+    at once. Two 1e17 m routes at dt 1.0 end in MemoryError, not
+    ValueError; there is no cap (ROADMAP item 3, bounded inputs). Refined,
+    the same rows sample four instants each.
     """
     if not len(firsts) == len(t_firsts) == len(seconds) == len(t_seconds):
         raise ValueError("missions and departure times differ in length")
@@ -235,8 +242,9 @@ def schedule_pair_min_seps(missions, departures, dt: float,
 def schedule_is_safe(missions, departures, h: float, dt: float) -> bool:
     """True when every co-airborne pair keeps its refined min separation
     >= h - ROUNDING_K * eps * S, eps = 2^-52 and S the pair's magnitude
-    scale (see ROUNDING_K). The refined minimum of the convex squared gap
-    is its vertex at any dt, so dt does not decide the verdict. Raises
+    scale (see ROUNDING_K). A refined row brackets its whole window, so dt
+    is validated but sets neither the verdict, nor the cost, nor the
+    memory, which grows with the pair count alone. Raises
     ValueError, as the samplers do, on unusable input, and when a pair's
     S overflows float64, where the rounding bound does not hold."""
     f, departures, i, j = _schedule_pairs(missions, departures)

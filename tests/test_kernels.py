@@ -27,20 +27,21 @@ CFG = SeparationConfig(h=1.5)
 # sha256 of the oracle's float64 output bytes on the fixed inputs below; a
 # single changed bit fails these tests. The refine=False pins date from the
 # per-window and per-delay-grid samplers the one row sampler replaced; the
-# refine=True pins were taken when one parabolic step replaced the ternary
-# search, which moved each output by under 1.4e-11 of its value
-PAIR_GRID_PIN = "eba8707dcc1f94194d8a64c9d304e1f3cfc76d092e6684cd9ac130d76081d5c3"
+# refine=True pins were taken when the parabolic step came to bracket the
+# whole window instead of the sampled argmin +- dt, which moved each output
+# by under 6e-12 of its value, and they do not depend on dt
+PAIR_GRID_PIN = "4da2f8c84916b50c6e51319c7d4b54a8f8a7ff5221a28eebe310597f6b755b7b"
 EDGE_GRID_PINS = {
-    True: "a3d2b53d19cdebb1032fe1f02f886214e6e5957330b8e8eda8214e1abf13e77a",
+    True: "834098798973fdf510b13d5973a93c77407670a8950ecdbbbfeaf62b8271a8d6",
     False: "7bb25b8257228795782499c7345fa3db39bebd2ec1bed20a8f9e87d7accac3e8",
 }
 # sha256 of pairs_min_sep_sq(..., refine=True) on _polish_rows
-POLISH_PIN = "4f07c1fb815306b1fa42b2c3465e781de517ac8ce662bd942f8571a6f1265bbe"
+POLISH_PIN = "f5d4c7e76ec37c35f6d2b4652231f9a4a01073d07b791b234c74ab7e9f313ca2"
 SCHEDULE_PINS = {
     (0.01, False): "e66ab366d8b99e1ce777b453b26e22d48410670b258919099d4c4b753de6e0e5",
-    (0.01, True): "4098f6098e5a61c018c59d1bb5959a3264086126fa94a47a0b9b1db50c3647c4",
+    (0.01, True): "c03b463c9c22ee011d090a15b9a01dc849232586d71e03ab691eb731beeb6b5c",
     (0.001, False): "fac06e4d2e4c7b92f3e5abe0dc7776564c8573603cfde1edff7d2c0acf376b07",
-    (0.001, True): "609625d2f96addf83403950e9b43f85e54c265bf76596c4ace31ce14184c8a7f",
+    (0.001, True): "c03b463c9c22ee011d090a15b9a01dc849232586d71e03ab691eb731beeb6b5c",
 }
 
 
@@ -373,9 +374,31 @@ def test_oracle_rejects_windows_beyond_int64_samples():
     with pytest.raises(ValueError, match="int64"):
         oracle.pairs_min_sep_sq([a], [0.0], [b], [0.0], 1.0)
     with pytest.raises(ValueError, match="int64"):
-        oracle.delta_grid_min_sep_sq(a, b, np.array([0.0, 1.0]), 1.0)
+        oracle.delta_grid_min_sep_sq(a, b, np.array([0.0, 1.0]), 1.0, refine=False)
     with pytest.raises(ValueError, match="int64"):
         oracle.schedule_pair_min_seps([a, b], [0.0, 0.0], 1.0)
+    # a refined row samples no grid: the gap is 1 m at delay 0 and
+    # sqrt(2) m at delay 1, all window long
+    assert oracle.delta_grid_min_sep_sq(a, b, np.array([0.0, 1.0]),
+                                        1.0).tolist() == [1.0, 2.0]
+
+
+def test_refined_rows_do_not_depend_on_dt():
+    # a refined row brackets its whole window, whatever dt
+    a, b = next(pair_stream(41, 1))
+    deltas = np.linspace(-b.duration - 0.5, a.duration + 0.5, 201)
+    fine = oracle.delta_grid_min_sep_sq(a, b, deltas, 0.001)
+    assert fine.tobytes() == oracle.delta_grid_min_sep_sq(a, b, deltas, 4.0).tobytes()
+    assert SCHEDULE_PINS[0.01, True] == SCHEDULE_PINS[0.001, True]
+
+
+def test_refined_rows_allocate_no_samples_per_dt():
+    # 1e17 s windows, 1e17 samples at dt 1.0 unrefined: a refined row
+    # samples four instants and finds the crossing at t = 5e16 s
+    a = Mission("a", Vec2(0.0, 0.0), Vec2(1e17, 0.0), 1.0)
+    b = Mission("b", Vec2(5e16, -5e16), Vec2(5e16, 5e16), 1.0)
+    assert oracle.pairs_min_sep_sq([a], [0.0], [b], [0.0], 1.0,
+                                   refine=True).tolist() == [0.0]
 
 
 def test_pair_min_sep_disjoint_windows():
