@@ -41,10 +41,17 @@ def _outdir(args) -> Path | None:
     return out
 
 
+def _json_text(payload) -> str:
+    """payload as indented JSON; ValueError on a non-finite number, which
+    strict JSON readers reject."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"output would hold a non-finite number: {exc}") from exc
+
+
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+    path.write_text(_json_text(payload))
 
 
 def cmd_solve_pair(args) -> int:
@@ -170,15 +177,16 @@ def cmd_montecarlo(args) -> int:
     print(f"mean average delay: {float(delays.mean()):.4f} s, "
           f"std: {float(delays.std()):.4f} s")
     if args.out is not None:
-        # fit first: a fit error must leave no output behind
+        # fit and serialise first: a fit error must leave no output behind
         report = fit_report(delays, bins=args.bins)
         report["n_agents"] = result.n_agents
         report["mode"] = result.mode
         report["seed"] = result.base_seed
         report["rejected_topologies"] = list(result.rejected_topologies)
+        fit_json = _json_text(report)
         out = _outdir(args)
         (out / "samples.csv").write_text(_samples_csv(result))
-        _write_json(out / "fit.json", report)
+        (out / "fit.json").write_text(fit_json)
         print(f"selected distribution: {report['selected']}")
         print(f"wrote {out / 'samples.csv'} and {out / 'fit.json'}")
     return EXIT_OK
@@ -203,9 +211,10 @@ def cmd_fit(args) -> int:
     for r in report["fits"]:
         print(f"{r['family']}: ssr = {r['ssr']:.6g}")
     print(f"selected: {report['selected']}")
-    out = _outdir(args)
-    if out is not None:
-        _write_json(out / "fit.json", report)
+    if args.out is not None:
+        fit_json = _json_text(report)
+        out = _outdir(args)
+        (out / "fit.json").write_text(fit_json)
         print(f"wrote {out / 'fit.json'}")
     return EXIT_OK
 

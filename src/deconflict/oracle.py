@@ -4,16 +4,17 @@ This is the independent check against which the analytic solvers are tested.
 It only ever evaluates inter-agent distance at sampled instants (optionally
 polishing the sampled minimum with one more sample, placed from sampled
 values alone), so it shares no code path with the vertex/root analysis in
-kinematics: it takes only the Mission type from there. One sampler works on
-rows, one co-airborne window per row: rows are sampled in (rows x samples)
-blocks of at most CHUNK elements. Plain sampling (refine=False) samples a
-window at step dt, so only it depends on dt, and its memory grows as
-window / dt. A refined row samples its window's two ends and then takes one
-parabolic step over the whole window, with no loop, whatever dt. A single
-window, a delay grid and the pairs of a schedule are each one call of it;
-tests pin its outputs bit for bit. schedule_is_safe forgives a pair's
-shortfall below h only up to a rounding bound derived from that pair's
-own magnitudes (ROUNDING_K).
+kinematics: it takes only the Mission type from there. The oracle works on
+rows, one co-airborne window per row, and has one sampler per mode. Plain
+sampling (refine=False, _grid) samples a window at step dt in (rows x
+samples) blocks of at most CHUNK elements, so only it depends on dt, and its
+memory grows as window / dt. A refined row (_bracket) samples its window's
+two ends and middle and then the vertex of the parabola through them: four
+samples, with no block and no loop, whatever dt. A single window, a delay
+grid and the pairs of a schedule are each one call of the oracle; tests pin
+its outputs bit for bit. schedule_is_safe forgives a pair's shortfall below
+h only up to a rounding bound derived from that pair's own magnitudes
+(ROUNDING_K).
 """
 
 import math
@@ -22,8 +23,8 @@ import numpy as np
 
 from .kinematics import Mission
 
-#: elements (rows x samples) per block of the row sampler; a window with
-#: more samples than this is sampled as a block of its own
+#: elements (rows x samples) per block of plain sampling (_grid); a window
+#: with more samples than this is sampled as a block of its own
 CHUNK = 1 << 13
 
 # schedule_is_safe accepts a pair when its refined min separation is at
@@ -36,8 +37,8 @@ CHUNK = 1 << 13
 # w1] up to rounding, and every sample is the squared gap at a float
 # instant t, whose exact value is at least the exact window minimum m^2
 # (less a slip past the window's end), so only rounding can put the result
-# below m. With u = eps / 2 the unit roundoff, the bounds on what _sample
-# does with refine=True are, to first order in u:
+# below m. With u = eps / 2 the unit roundoff, the bounds on what _bracket
+# does are, to first order in u:
 #   - instants, u V T: w0 = max(ta, tb) is exact and w1 = fl(min(ta +
 #     dur_a, tb + dur_b)) is off by u T. A refined row samples w0, w1, its
 #     middle fl(0.5 fl(w0 + w1)) and the vertex clipped to [w0, w1], all in
@@ -84,11 +85,8 @@ def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
     ta, tb: one row per element of the broadcast arrays, inf where the
     co-airborne window is empty.
 
-    With refine=False a row's window is sampled at step dt plus its far
-    end. With refine=True it is sampled at its two ends alone, then at its
-    middle and once more at the vertex of the parabola through those three
-    values, clipped to the window, whatever dt. The least of the
-    end or grid samples and the vertex sample is kept.
+    The rows whose window is not empty go to _bracket when refine is true,
+    whatever dt, and to _grid at step dt otherwise.
     """
     dt = _step(dt)
     ta = np.asarray(ta, dtype=np.float64)
@@ -106,27 +104,59 @@ def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
     ux, uy, cx, cy, w0, w1 = np.broadcast_arrays(ux, uy, cx, cy, w0, w1)
     out = np.full(w0.shape, np.inf)
     rows = np.flatnonzero(~(w0 > w1))
-    # row i samples w0 + j*dt for j < n[i] - 1 and then w1; +inf pads the
-    # rest of its block. Widest rows first, so a block's first row is its
-    # widest and sets how many rows fit in CHUNK. A refined row samples its
-    # window's two ends alone: the parabola step below brackets the whole
-    # window, so it needs no grid.
-    if refine:
-        n = np.full(rows.size, 2, dtype=np.int64)
-    else:
-        steps = (w1[rows] - w0[rows]) / dt
-        if not (steps < 2.0 ** 63).all():  # also an overflowed inf or nan
-            raise ValueError(f"a co-airborne window spans {steps.max()!r} steps "
-                             f"of dt {dt!r}, beyond the int64 sample count")
-        n = steps.astype(np.int64) + 2
+    args = [x[rows] for x in (ux, uy, cx, cy, w0, w1)]
+    out[rows] = _bracket(*args) if refine else _grid(*args, dt)
+    return out
+
+
+def _bracket(ux, uy, cx, cy, w0, w1) -> np.ndarray:
+    """Refined min squared gap |u t + c|^2 of each row over [w0, w1].
+
+    The squared gap is a convex quadratic in t: its samples at the window's
+    ends and middle fix it, and the parabola's vertex, clipped to the
+    window, is sampled once more (a flat row, or one that rounds concave,
+    samples the middle). The lesser end sample is kept unless the vertex
+    sample is smaller: four samples a row, with no grid.
+    """
+    def gap(t):
+        rx = ux * t + cx
+        ry = uy * t + cy
+        return rx * rx + ry * ry
+
+    mid = 0.5 * (w0 + w1)
+    f0, f1, f2 = gap(w0), gap(mid), gap(w1)
+    curv = f0 - 2.0 * f1 + f2
+    t = mid + np.divide((w1 - w0) * (f0 - f2), 4.0 * curv,
+                        out=np.zeros(w0.size), where=curv > 0.0)
+    t = np.where(t > w0, t, w0)
+    t = np.where(t < w1, t, w1)
+    r = gap(t)
+    best = np.minimum(f0, f2)
+    return np.where(r < best, r, best)
+
+
+def _grid(ux, uy, cx, cy, w0, w1, dt) -> np.ndarray:
+    """Plain min squared gap |u t + c|^2 of each row, sampled at w0 + j dt
+    for j < n - 1 and at w1, n = floor((w1 - w0) / dt) + 2.
+
+    Rows are sampled in (rows x samples) blocks of at most CHUNK elements,
+    widest first, so a block's first row is its widest and sets how many
+    rows fit; +inf pads the rest of a row's block. Raises ValueError unless
+    every window has fewer than 2^63 steps of dt.
+    """
+    steps = (w1 - w0) / dt
+    if not (steps < 2.0 ** 63).all():  # also an overflowed inf or nan
+        raise ValueError(f"a co-airborne window spans {steps.max()!r} steps "
+                         f"of dt {dt!r}, beyond the int64 sample count")
+    n = steps.astype(np.int64) + 2
     by_width = np.argsort(-n)
-    rows, n = rows[by_width], n[by_width]
-    ux, uy, cx, cy, w0, w1 = (x[rows] for x in (ux, uy, cx, cy, w0, w1))
+    n = n[by_width]
+    ux, uy, cx, cy, w0, w1 = (x[by_width] for x in (ux, uy, cx, cy, w0, w1))
     j = np.arange(n.max(initial=0))
     jdt = j * dt
-    best = np.empty(rows.size)
+    best = np.empty(n.size)
     s = 0
-    while s < rows.size:
+    while s < n.size:
         blk = slice(s, s + max(1, CHUNK // int(n[s])))
         nb = n[blk]
         i = np.arange(nb.size)
@@ -141,30 +171,9 @@ def _sample(a, ta, b, tb, dt, refine) -> np.ndarray:
         ry *= ry
         d += ry
         np.putmask(d, j[:nb[0]] >= nb[:, None], np.inf)
-        best[blk] = d.min(axis=1)
+        best[by_width[blk]] = d.min(axis=1)
         s = blk.stop
-    if refine:
-        def gap(t):
-            rx = ux * t + cx
-            ry = uy * t + cy
-            return rx * rx + ry * ry
-
-        # the squared gap is a convex quadratic in t: its samples at the
-        # window's ends lo, hi and middle fix it, and the parabola's
-        # vertex, clipped to [lo, hi], is sampled once more (a flat row,
-        # or one that rounds concave, samples mid)
-        lo, hi = w0, w1
-        mid = 0.5 * (lo + hi)
-        f0, f1, f2 = gap(lo), gap(mid), gap(hi)
-        curv = f0 - 2.0 * f1 + f2
-        t = mid + np.divide((hi - lo) * (f0 - f2), 4.0 * curv,
-                            out=np.zeros(rows.size), where=curv > 0.0)
-        t = np.where(t > lo, t, lo)
-        t = np.where(t < hi, t, hi)
-        r = gap(t)
-        best = np.where(r < best, r, best)
-    out[rows] = best
-    return out
+    return best
 
 
 def pairs_min_sep_sq(firsts, t_firsts, seconds, t_seconds,
@@ -188,8 +197,9 @@ def pairs_min_sep_sq(firsts, t_firsts, seconds, t_seconds,
     Plain sampling's memory grows as window / dt: a window of more than
     CHUNK samples is a block of its own, and all its samples are allocated
     at once. Two 1e17 m routes at dt 1.0 end in MemoryError, not
-    ValueError; there is no cap (ROADMAP item 3, bounded inputs). Refined,
-    the same rows sample four instants each.
+    ValueError; there is no cap (ROADMAP item 3, bounded inputs). A refined
+    row touches no block: the same rows sample four instants each, and a
+    row's output does not depend on the other rows of its call.
     """
     if not len(firsts) == len(t_firsts) == len(seconds) == len(t_seconds):
         raise ValueError("missions and departure times differ in length")

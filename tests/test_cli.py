@@ -3,6 +3,9 @@ import hashlib
 import importlib
 import itertools
 import json
+import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,8 @@ from deconflict.kinematics import SeparationConfig
 from deconflict.optimizer import per_order_table
 from deconflict.scenario import AirspaceConfig, generate_topology
 from deconflict.scenario_io import read_scenario
-from helpers import pair_stream
+from deconflict.statfit import fit_report
+from helpers import child_env, pair_stream
 
 CROSSING = {
     "version": 1,
@@ -303,6 +307,36 @@ def test_fit_of_samples_two_ulps_apart_exits_0(tmp_path, capsys):
     out_dir = tmp_path / "fit"
     assert cli.main(["fit", str(csv), "--bins", "2", "--out", str(out_dir)]) == 0
     assert json.loads((out_dir / "fit.json").read_text())["n_samples"] == 3
+
+
+def test_fit_with_a_non_finite_ssr_exits_2_and_writes_nothing(tmp_path):
+    # the gamma density overflows on two samples 7e-15 apart, so its ssr is
+    # inf, which strict JSON cannot hold. Run in a subprocess: here
+    # filterwarnings = ["error"] would turn numpy's overflow warning into an
+    # exception, and the command would exit 4 before it writes
+    (tmp_path / "narrow.csv").write_text("average_delay_s\n17.0\n17.000000000000007\n")
+    proc = subprocess.run([sys.executable, "-m", "deconflict.cli", "fit", "narrow.csv",
+                           "--bins", "2", "--out", "d"], cwd=tmp_path, env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "gamma: ssr = inf" in proc.stdout
+    assert "error: output would hold a non-finite number" in proc.stderr
+    assert not (tmp_path / "d").exists()
+
+
+def test_montecarlo_non_finite_fit_exits_2_and_writes_nothing(monkeypatch, tmp_path,
+                                                              capsys):
+    def inf_ssr(delays, bins):
+        report = fit_report(delays, bins=bins)
+        report["fits"][0]["ssr"] = math.inf
+        return report
+
+    monkeypatch.setattr(cli, "fit_report", inf_ssr)
+    out_dir = tmp_path / "mc"
+    assert cli.main(["montecarlo", "--n-agents", "3", "--topologies", "2",
+                     "--out", str(out_dir)]) == 2
+    assert "non-finite number" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("text,message", [

@@ -392,6 +392,31 @@ def test_refined_rows_do_not_depend_on_dt():
     assert SCHEDULE_PINS[0.01, True] == SCHEDULE_PINS[0.001, True]
 
 
+def test_refined_rows_do_not_depend_on_their_batch():
+    # one call over more rows than 4096, which filled a (rows x 2) CHUNK
+    # block when refined rows were sampled in blocks, equals each row's
+    # one-row call bit for bit; the rows hold disjoint windows, zero-length
+    # windows and equal-velocity pairs
+    pairs = list(pair_stream(4242, 60))
+    for k in range(4):
+        a = Mission("p", Vec2(0.0, 0.0), Vec2(10.0, 0.0), 2.0 + k)
+        pairs.append((a, Mission("q", Vec2(1.0 + k, 3.0), Vec2(11.0 + k, 3.0),
+                                 2.0 + k)))
+    rows = []
+    for a, b in pairs:
+        rows += [(a, 0.0, b, d) for d in
+                 np.linspace(-b.duration - 0.5, a.duration + 0.5, 64).tolist()]
+        rows += [(a, 0.0, b, -b.duration), (a, 0.0, b, a.duration)]
+    assert len(rows) > 4096
+    assert sum(a.velocity == b.velocity for a, _, b, _ in rows) >= 4 * 66
+    batch = oracle.pairs_min_sep_sq(*zip(*rows), 0.05, refine=True)
+    one = [oracle.sampled_min_separation_sq(*row, 0.05, True) for row in rows]
+    assert batch.tobytes() == np.array(one).tobytes()
+    disjoint = [max(ta, tb) > min(ta + a.duration, tb + b.duration)
+                for a, ta, b, tb in rows]
+    assert np.isinf(batch).tolist() == disjoint and sum(disjoint) >= 2 * len(pairs)
+
+
 def test_refined_rows_allocate_no_samples_per_dt():
     # 1e17 s windows, 1e17 samples at dt 1.0 unrefined: a refined row
     # samples four instants and finds the crossing at t = 5e16 s

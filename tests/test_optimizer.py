@@ -268,21 +268,25 @@ def test_atlanta_schedules_pass_oracle_at_kilometre_scale():
     # units of eps * S
     missions = atlanta.load_missions()
     by_id = {m.id: m for m in missions}
-    worst, pairs = -math.inf, 0
+    worst, pairs, longest = -math.inf, 0, 0.0
     for h in range(50, 1001, 50):
         search = optimize_order(missions, SeparationConfig(h=float(h)))
         for schedule in (search.best, search.worst):
             short, n = _shortfall(missions, schedule, h)
             worst, pairs = max(worst, short), pairs + n
-            seps = oracle.schedule_pair_min_seps(
-                [by_id[mid] for mid in schedule.order], schedule.departures,
-                dt=1.0)
+            flights = [(by_id[mid], t) for mid, t in
+                       zip(schedule.order, schedule.departures)]
+            seps = oracle.schedule_pair_min_seps(*zip(*flights), dt=0.01)
             assert np.isfinite(seps).all()  # every pair is co-airborne
+            windows = [min(ta + a.duration, tb + b.duration) - max(ta, tb)
+                       for (a, ta), (b, tb) in itertools.combinations(flights, 2)]
+            longest = max(longest, *windows)
     print(f"worst shortfall below h: {worst:.3g} eps * S over {pairs} pairs")
     assert worst < oracle.ROUNDING_K
-    # flights of 8-23 min: at dt = 0.01 a long co-airborne window has more
-    # samples than a CHUNK block, so it is sampled as a block of its own
-    assert min(m.duration for m in missions) / 0.01 > oracle.CHUNK
+    # flights of 8-23 min: plain sampling at dt = 0.01 gives the longest
+    # co-airborne window more samples than a CHUNK block, so that window is
+    # sampled as a block of its own
+    assert longest / 0.01 > oracle.CHUNK
 
 
 def _schedule_families():
