@@ -208,11 +208,12 @@ def cmd_fit(args) -> int:
     except (ValueError, IndexError) as exc:
         raise ScenarioFormatError(f"bad CSV row: {exc}") from exc
     report = fit_report(samples, bins=args.bins)
+    # serialise first: a fit that cannot be written prints no results
+    fit_json = None if args.out is None else _json_text(report)
     for r in report["fits"]:
         print(f"{r['family']}: ssr = {r['ssr']:.6g}")
     print(f"selected: {report['selected']}")
-    if args.out is not None:
-        fit_json = _json_text(report)
+    if fit_json is not None:
         out = _outdir(args)
         (out / "fit.json").write_text(fit_json)
         print(f"wrote {out / 'fit.json'}")

@@ -158,6 +158,34 @@ def min_separation_sq(a: Mission, t_dep_a: float, b: Mission, t_dep_b: float) ->
     return float(rx * rx + ry * ry)
 
 
+def _gap_sq(d, p0x, p0y, ux, uy, uu, bvx, bvy, adur, bdur):
+    """min_separation_sq(first, 0.0, second, d), bit for bit, from the pair's
+    floats as forbidden_interval derives them.
+
+    The operations and their order are min_separation_sq's, with first's
+    departure fixed at 0: its window ends are max(0.0, d) and 0.0 + adur,
+    which is adur, and its cx = ((aox - avx * 0.0) - box) + bvx * d differs
+    from p0x + bvx * d at most in the sign of a zero, which is squared away.
+    A non-finite d raises min_separation_sq's ValueError.
+    """
+    if not math.isfinite(d):
+        raise ValueError(f"departure times must be finite, got 0.0 and {d}")
+    w0 = max(0.0, d)
+    w1 = min(adur, d + bdur)
+    if w0 > w1:
+        return math.inf
+    cx = p0x + bvx * d
+    cy = p0y + bvy * d
+    tmin = -(ux * cx + uy * cy) / uu if uu > 0.0 else w0
+    if tmin < w0:
+        tmin = w0
+    elif tmin > w1:
+        tmin = w1
+    rx = ux * tmin + cx
+    ry = uy * tmin + cy
+    return rx * rx + ry * ry
+
+
 def forbidden_interval(first: Mission, second: Mission,
                        cfg: SeparationConfig) -> ForbiddenInterval:
     """Delays of `second` relative to `first` that violate separation.
@@ -179,6 +207,9 @@ def forbidden_interval(first: Mission, second: Mission,
     parallelogram. A span whose midpoint is conflict-free is a pure tangency
     and returned empty. Each endpoint is then stepped outward until it is
     conflict-free, so both are certified safe (tangent passes are allowed).
+    The midpoint test and both steps read the gap through _gap_sq, which
+    is min_separation_sq(first, 0.0, second, delta) bit for bit over the
+    pair's floats computed here once.
     """
     h = cfg.h
     va = first.velocity
@@ -232,18 +263,19 @@ def forbidden_interval(first: Mission, second: Mission,
         return ForbiddenInterval.empty()
     lo = min(cands)
     hi = max(cands)
-    if lo >= hi or min_separation_sq(first, 0.0, second, 0.5 * (lo + hi)) >= hh:
+    uu = ux * ux + uy * uy
+    if lo >= hi or _gap_sq(0.5 * (lo + hi), p0x, p0y, ux, uy, uu, bvx, bvy, adur, bdur) >= hh:
         return ForbiddenInterval.empty()
     # rounding can leave an endpoint a few ulps inside the span; steps start
     # at one ulp of the durations, since near delta = 0 one ulp of the
     # endpoint itself is too small to change the separation
     first_step = math.ulp(max(adur, bdur))
     step = first_step
-    while min_separation_sq(first, 0.0, second, lo) < hh:
+    while _gap_sq(lo, p0x, p0y, ux, uy, uu, bvx, bvy, adur, bdur) < hh:
         lo -= step
         step += step
     step = first_step
-    while min_separation_sq(first, 0.0, second, hi) < hh:
+    while _gap_sq(hi, p0x, p0y, ux, uy, uu, bvx, bvy, adur, bdur) < hh:
         hi += step
         step += step
     return ForbiddenInterval.bounded(float(lo), float(hi))

@@ -112,12 +112,16 @@ def generate_topology(cfg: AirspaceConfig) -> list[Mission]:
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed & _U64))
     n = cfg.n_agents
+    h = cfg.h
     placed: list[tuple[float, float, float]] = []  # (arc length, x, y)
     for k in range(2 * n):
         for _attempt in range(MAX_POINT_ATTEMPTS):
             u = 4.0 * SIDE * rng.random()
             x, y = _perimeter_point(u)
-            if all(math.hypot(x - qx, y - qy) >= cfg.h for _, qx, qy in placed):
+            for _, qx, qy in placed:
+                if not math.hypot(x - qx, y - qy) >= h:
+                    break  # too close: draw again
+            else:
                 placed.append((u, x, y))
                 break
         else:
@@ -194,10 +198,12 @@ def run_monte_carlo(n_agents: int, n_topologies: int, base_seed: int,
             kept.append(k)
             columns.append(delays)
     per_topology = len(columns[0]) if columns else 0  # N!, or 1 when optimal
+    delays = np.concatenate(columns) if columns else np.empty(0)
     return MonteCarloResult(
-        delays=np.concatenate(columns) if columns else np.empty(0),
+        delays=delays,
         topology_index=np.repeat(np.array(kept, dtype=int), per_topology),
+        # 0, 1, ..., N! - 1 once per kept topology (empty when none is kept)
         order_rank=(None if mode == "optimal"
-                    else np.tile(np.arange(per_topology), len(kept))),
+                    else np.arange(len(delays)) % per_topology),
         rejected_topologies=tuple(rejected),
         n_agents=n_agents, mode=mode, base_seed=base_seed)

@@ -147,33 +147,39 @@ def order_tree(lo, hi):
     so prefixes that reach the same state have the same subtree. Children
     equal bit for bit are merged into one state at the levels that place
     the (k+1)-th agent for 2 <= k <= n - 3; the first two levels and the
-    last two have too few repeats to pay for the merge. Each prefix of the
-    lexicographic orders keeps the index of its state. After the last level
-    each leaf state's sorted row is folded column by column, the same
-    additions as total_of over its departures, and every order reads the
-    total of its leaf. Returns the (n!,) totals, the (S, n) leaf states and
-    the (n!,) leaf index of each order, rows in the order of
-    lexicographic_orders(n).
+    last two have too few repeats to pay for the merge. Until the first
+    merge, prefix p of the lexicographic orders is state p and no index is
+    kept; from the first merge on, each prefix keeps the index of its state.
+    After the last level each leaf state's sorted row is folded column by
+    column, the same additions as total_of over its departures, and every
+    order reads the total of its leaf. With no merge (n <= 4) order p is
+    leaf p, so the totals need no gather. Returns the (n!,) totals, the
+    (S, n) leaf states and the (n!,) leaf index of each order, rows in the
+    order of lexicographic_orders(n).
     """
     n = len(lo)
     # the first agent of every order departs at t = 0
     states = np.where(np.eye(n, dtype=bool), 0.0, np.nan)
-    prefix_state = np.arange(n)
+    # None while prefix p is state p, which holds until the first merge
+    prefix_state = None
     for k in range(1, n):
         parent, nxt = np.nonzero(np.isnan(states))
         children = states[parent]
         placed = place_next(lo, hi, children, nxt, k)
         children[np.arange(len(nxt)), nxt] = placed
-        # every state has n - k free agents, so child c of state s, in
-        # ascending agent order as the orders list them, is s * (n - k) + c
-        prefix_state = (prefix_state[:, None] * (n - k) + np.arange(n - k)).ravel()
+        if prefix_state is not None:
+            # every state has n - k free agents, so child c of state s, in
+            # ascending agent order as the orders list them, is s * (n - k) + c
+            prefix_state = (prefix_state[:, None] * (n - k) + np.arange(n - k)).ravel()
         if 2 <= k <= n - 3:
             keys = children.view(np.dtype((np.void, children.itemsize * n)))
             keys, merged = np.unique(keys.ravel(), return_inverse=True)
             children = keys.view(np.float64).reshape(-1, n)
-            prefix_state = merged[prefix_state]
+            prefix_state = merged if prefix_state is None else merged[prefix_state]
         states = children
     leaf_totals = functools.reduce(operator.add, np.sort(states, axis=1).T, 0.0)
+    if prefix_state is None:
+        return leaf_totals, states, np.arange(len(states))
     return leaf_totals[prefix_state], states, prefix_state
 
 

@@ -319,8 +319,11 @@ def test_fit_with_a_non_finite_ssr_exits_2_and_writes_nothing(tmp_path):
                            "--bins", "2", "--out", "d"], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
-    assert "gamma: ssr = inf" in proc.stdout
     assert "error: output would hold a non-finite number" in proc.stderr
+    assert proc.stderr.rstrip().endswith(": inf"), proc.stderr
+    # a failed run prints no results: no ssr lines and no selection
+    assert "selected:" not in proc.stdout
+    assert "ssr" not in proc.stdout
     assert not (tmp_path / "d").exists()
 
 

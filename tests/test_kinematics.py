@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deconflict import atlanta, oracle
+from deconflict import atlanta, kinematics, oracle
 from deconflict.kinematics import (ForbiddenInterval, IntervalKind, Mission,
                                    SeparationConfig, Vec2, forbidden_interval,
                                    min_separation_sq)
@@ -328,6 +328,72 @@ def test_solver_output_is_pinned():
             digest.update(f"{fi.kind.value} {fi.lo.hex()} {fi.hi.hex()};".encode())
         digest.update(f"{min_separation_sq(a, 0.3, b, 1.7).hex()};".encode())
     assert digest.hexdigest() == SOLVER_PIN
+
+
+def _gap_args(first, second):
+    """The pair's floats in kinematics._gap_sq's order, derived as
+    forbidden_interval derives them."""
+    va, vb = first.velocity, second.velocity
+    ux = va.x - vb.x
+    uy = va.y - vb.y
+    return (first.origin.x - second.origin.x, first.origin.y - second.origin.y,
+            ux, uy, ux * ux + uy * uy, vb.x, vb.y, first.duration, second.duration)
+
+
+def _ulps_around(d, count=3):
+    """d and the `count` floats on either side of it."""
+    out = [d]
+    down = up = d
+    for _ in range(count):
+        down = math.nextafter(down, -math.inf)
+        up = math.nextafter(up, math.inf)
+        out += [down, up]
+    return out
+
+
+def test_pair_local_gap_is_min_separation_sq_bit_for_bit():
+    # the pinned pairs (box families, slivers, near-parallel pairs, Atlanta
+    # at h = 50 and 1000), more equal-velocity and same-track pairs, Atlanta
+    # at h = 300 and 650, and the far-flung near-parallel tracks; at each
+    # span's ends and midpoint, a few ulps either side, and on a grid past
+    # both ends of the co-airborne delays, where the windows are disjoint
+    unit = SeparationConfig(h=1.5)
+    rng = np.random.default_rng(34)
+    cases = _pinned_pairs()
+    cases += [(*random_pair(rng, kind), unit)
+              for kind in ("equal_velocity", "same_track") for _ in range(40)]
+    cases += [(a, b, SeparationConfig(h=h)) for h in (300.0, 650.0)
+              for a, b in combinations(atlanta.load_missions(), 2)]
+    cases += [(Mission("a", Vec2(0.0, 0.0), Vec2(1e10, 0.0), 1.0),
+               Mission("b", Vec2(0.0, 0.75), Vec2(1e10, 0.75), speed), unit)
+              for speed in (1.0 + 5e-10, 1.0 - 5e-10)]
+    near = disjoint = 0
+    for a, b, cfg in cases:
+        for first, second in ((a, b), (b, a)):
+            args = _gap_args(first, second)
+            near += bool(0.0 < args[4] <= 1e-18)
+            deltas = np.linspace(-second.duration - 1.0, first.duration + 1.0, 41).tolist()
+            fi = forbidden_interval(first, second, cfg)
+            if fi.kind is IntervalKind.BOUNDED:
+                for d in (fi.lo, fi.hi, 0.5 * (fi.lo + fi.hi)):
+                    deltas += _ulps_around(d)
+            for d in deltas:
+                want = min_separation_sq(first, 0.0, second, d)
+                got = kinematics._gap_sq(d, *args)
+                assert float(got).hex() == want.hex(), (first, second, d)
+                disjoint += want == math.inf
+    assert near == 58  # ordered pairs with 0 < |u|^2 <= 1e-18
+    assert disjoint >= 4 * len(cases)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pair_local_gap_rejects_non_finite_delays(crossing_pair, bad):
+    a, b = crossing_pair
+    with pytest.raises(ValueError) as want:
+        min_separation_sq(a, 0.0, b, bad)
+    with pytest.raises(ValueError) as got:
+        kinematics._gap_sq(bad, *_gap_args(a, b))
+    assert str(got.value) == str(want.value)
 
 
 def _scaled(m, space, speed):

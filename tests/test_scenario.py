@@ -14,6 +14,12 @@ from deconflict.scenario import (SIDE, SPEED_RANGE, AirspaceConfig,
 from helpers import segments_intersect
 
 
+def assert_column(got, want):
+    """got has want's dtype, shape and bytes."""
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestAirspaceConfig:
     def test_defaults_match_scaled_environment(self):
         assert SIDE == 20.0
@@ -191,12 +197,12 @@ class TestRunMonteCarlo:
             result = run_monte_carlo(3, 3, base_seed=7, mode="optimal")
         assert result.rejected_topologies == (1,)
         assert len(result.delays) == 2
-        assert result.topology_index.tolist() == [0, 2]
+        assert_column(result.topology_index, np.repeat(np.array([0, 2], dtype=int), 1))
         assert any("rejected" in r.message for r in caplog.records)
         pooled = run_monte_carlo(3, 3, base_seed=7, mode="pooled")
         assert pooled.rejected_topologies == (1,)
-        assert pooled.topology_index.tolist() == [0] * 6 + [2] * 6
-        assert pooled.order_rank.tolist() == list(range(6)) * 2
+        assert_column(pooled.topology_index, np.repeat(np.array([0, 2], dtype=int), 6))
+        assert_column(pooled.order_rank, np.tile(np.arange(6), 2))
 
     def test_all_rejected_gives_empty_columns(self, monkeypatch):
         def reject(cfg):
@@ -206,12 +212,11 @@ class TestRunMonteCarlo:
         for mode in ("pooled", "optimal"):
             result = run_monte_carlo(3, 2, base_seed=7, mode=mode)
             assert result.rejected_topologies == (0, 1)
-            assert result.delays.dtype == np.float64
-            assert result.delays.shape == (0,)
-            assert result.topology_index.shape == (0,)
-            assert result.topology_index.dtype.kind == "i"
+            assert_column(result.delays, np.empty(0))
+            assert_column(result.topology_index, np.repeat(np.array([], dtype=int), 0))
+        assert result.order_rank is None
         order_rank = run_monte_carlo(3, 2, base_seed=7).order_rank
-        assert order_rank.shape == (0,) and order_rank.dtype.kind == "i"
+        assert_column(order_rank, np.tile(np.arange(0), 0))
 
     def test_samples_nonnegative_and_schedules_safe(self):
         result = run_monte_carlo(4, 10, base_seed=31, mode="optimal")
